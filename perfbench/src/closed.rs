@@ -193,11 +193,12 @@ pub fn run(
     let mut measured = 0.0;
     let mut session = 0usize;
     let mut off = Spans::new(false);
-    // Traced runs alternate untraced and traced sessions; session 1 is the
-    // traced one whose spans line up with session 0's log.
+    // Traced runs alternate untraced and traced sessions. Every traced
+    // session records its spans, so that it pays what tracing costs; only
+    // session 1's, which line up with session 0's log, are kept.
     while measured < ctx.seconds || (ctx.trace && session < 2) {
         let traced = ctx.trace && session % 2 == 1;
-        let mut session_spans = Spans::new(traced && session == 1);
+        let mut session_spans = Spans::new(traced);
         let dir = fresh_dir(&ctx.work.join(format!("{}-{session}", traffic.name)))?;
 
         let t_setup = Instant::now();
@@ -319,7 +320,9 @@ pub fn run(
             }),
         }
         std::fs::remove_dir_all(&dir)?;
-        spans.absorb(session_spans);
+        if session == 1 {
+            spans.absorb(session_spans);
+        }
         session += 1;
     }
 
@@ -330,15 +333,13 @@ pub fn run(
     rep.metric("read_p50_us", read_w.percentile(0.5), "us");
     rep.metric("read_p99_us", read_w.percentile(0.99), "us");
     rep.metric("merge_p50_us", merge_w.percentile(0.5), "us");
-    rep.metric("max_rps", median(&rps), "1/s");
+    rep.metric("requests_per_s", median(&rps), "1/s");
     rep.metric("recover_s", median(&recover_s), "s");
 
     if ctx.trace {
         let (log, twin) = log.expect("session 0 always runs");
         rep.metric("snapshot.count", 0.0, "count");
         rep.metric("wal.records_replayed", replayed as f64, "count");
-        rep.metric("gen.late_p99_us", 0.0, "us");
-        rep.metric("gen.backlog_max", 1.0, "count");
         rep.metric(
             "mix.read_after_write_frac",
             traffic.read_after_write,

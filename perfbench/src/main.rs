@@ -2,7 +2,7 @@
 //! service through its public surfaces.
 //!
 //! ```text
-//! perfbench --server-bin PATH --workload ingest|monitor_seq|text_sequential|monitor_mix
+//! perfbench --server-bin PATH --workload ingest|monitor_seq|text_sequential
 //!           --seed N --seconds S --trace 0|1
 //! ```
 //!
@@ -17,7 +17,6 @@ mod common;
 mod ingest;
 mod layers;
 mod monitor;
-mod openloop;
 mod stats;
 mod textseq;
 mod trace;
@@ -39,7 +38,7 @@ const END_TO_END: [&str; 13] = [
     "read_p50_us",
     "read_p99_us",
     "merge_p50_us",
-    "max_rps",
+    "requests_per_s",
     "retained_items",
     "disk_bytes_per_value",
     "tail_rel_err_max",
@@ -49,7 +48,7 @@ const END_TO_END: [&str; 13] = [
 
 /// The per-layer metrics every traced run prints, as `BENCHMARK.json`
 /// lists them.
-const PER_LAYER: [&str; 36] = [
+const PER_LAYER: [&str; 34] = [
     "core.update_ns_per_value",
     "core.compactions",
     "core.merge_moved_items",
@@ -79,8 +78,6 @@ const PER_LAYER: [&str; 36] = [
     "trace.layer_sum_us",
     "trace.residual_us",
     "trace.residual_pct",
-    "gen.late_p99_us",
-    "gen.backlog_max",
     "mix.read_after_write_frac",
     "control.kll_ns_per_value",
     "control.kll_drift_pct",
@@ -91,7 +88,7 @@ const PER_LAYER: [&str; 36] = [
 fn usage(msg: &str) -> ExitCode {
     eprintln!("perfbench: {msg}");
     eprintln!(
-        "usage: perfbench --server-bin PATH --workload ingest|monitor_seq|text_sequential|monitor_mix \
+        "usage: perfbench --server-bin PATH --workload ingest|monitor_seq|text_sequential \
          --seed N --seconds S --trace 0|1"
     );
     ExitCode::from(2)
@@ -124,8 +121,7 @@ fn main() -> ExitCode {
     let run: fn(&Ctx, &mut Report, &mut Spans) -> Result<(), req_core::ReqError> =
         match workload.as_str() {
             "ingest" => ingest::run,
-            "monitor_mix" => monitor::run,
-            "monitor_seq" => monitor::run_sequential,
+            "monitor_seq" => monitor::run,
             "text_sequential" => textseq::run,
             other => return usage(&format!("unknown workload {other}")),
         };

@@ -1,80 +1,54 @@
-//! `monitor_mix`: dashboards reading beside writers. Open loop on a fixed
-//! arrival schedule over one binary connection: small `ADDB`s mixed with
-//! `RANK`/`QUANTILE`/`CDF` reads and ~1% `MERGE`, over Zipf-chosen tenants
-//! preloaded with real state. A fixed ladder of arrival rates finds the
-//! highest rate that meets the latency limit; the nominal rate gives the
-//! latency metrics. Every ladder step starts from a fresh, identically
-//! preloaded service.
-
-use std::time::Instant;
+//! `monitor_seq`: dashboards reading beside writers. A closed loop with one
+//! request in flight over one binary connection to `serve_evented`: small
+//! `ADDB`s mixed with `RANK`/`QUANTILE`/`CDF` reads and ~1% `MERGE`, over
+//! Zipf-chosen tenants preloaded with real state (see [`crate::closed`]).
+//!
+//! The traffic shape below is an assumption, not a measured trace: no
+//! source fixes a dashboard read/write split or a tenant skew. The values
+//! are chosen to produce one property, a share of reads landing on a
+//! tenant written since its last read (`mix.read_after_write_frac`, about
+//! 0.3), so that the snapshot rebuild runs on a fair share of reads and
+//! the cache serves the rest.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use req_core::ReqError;
-use req_evented::serve_evented;
-use req_service::{Request, Response};
+use req_service::Request;
 use streams::generators::ZipfTable;
 
 use crate::closed::{self, Traffic, Transport};
-use crate::common::{
-    addb_request, collect_answers, create_request, dir_bytes, fresh_dir, open_service,
-    probe_requests, reopen_and_check, tail_rel_err_max, Ctx, Report, Tenant,
-};
-use crate::layers::{self, Codec, Log};
-use crate::openloop::{self, pipelined, Planned};
-use crate::stats::{median, percentile, Windowed};
+use crate::common::{addb_request, create_request, Ctx, Report, Tenant};
 use crate::trace::Spans;
-use crate::wire::{BinWire, Stamper};
+use crate::wire::Stamper;
 
+/// Tenants; with [`ZIPF_S`] the hottest takes about a third of requests.
 pub const TENANTS: usize = 16;
 pub const PRELOAD: usize = 65_536;
 pub const PRELOAD_BATCH: usize = 1024;
+/// Values per timed `ADDB`: small, so the update kernel does little.
 pub const WRITE_BATCH: usize = 16;
+/// Zipf exponent of the tenant choice (assumed).
 pub const ZIPF_S: f64 = 1.1;
-/// Operation mix in percent: ADDB, RANK, QUANTILE, CDF, MERGE.
+/// Operation mix in percent: ADDB, RANK, QUANTILE, CDF, MERGE (assumed).
 pub const MIX: [u32; 5] = [30, 30, 25, 14, 1];
-/// Arrival rates (requests/s), ascending.
-pub const LADDER: [f64; 9] = [
-    1_000.0, 2_000.0, 3_000.0, 3_500.0, 4_000.0, 4_500.0, 5_000.0, 6_000.0, 8_000.0,
-];
-/// Index of the nominal rate in [`LADDER`].
-pub const NOMINAL: usize = 1;
-/// Latency limit on the p99 of every request, ms.
-pub const P99_LIMIT_MS: f64 = 5.0;
-/// Requests still outstanding when the last one was sent, above which the
-/// backlog counts as growing.
-pub const BACKLOG_LIMIT: u64 = 32;
-/// Slices of the nominal step and of every other ladder step; latencies
-/// are the lower quartile over slices of each slice's percentile (see
-/// [`Windowed`]).
-pub const NOMINAL_WINDOWS: usize = 8;
-pub const STEP_WINDOWS: usize = 4;
-/// Timed requests per `monitor_seq` session.
+/// Timed requests per session.
 pub const SEQUENTIAL_OPS: usize = 20_000;
 pub const CDF_POINTS: [f64; 5] = [20_000.0, 55_000.0, 100_000.0, 1e6, 1e7];
 const CLIENT_ID: u64 = 0x4D0417;
 
-/// The schedule of one ladder step plus the values each tenant receives.
-struct Step {
-    plan: Vec<Planned>,
-    tenants: Vec<Tenant>,
-    read_after_write: f64,
-}
-
 /// `n` requests of the fixed mix over Zipf-chosen tenants, appending each
 /// write's values to its tenant. Returns the requests and the share of
 /// reads whose tenant was written since its last read. Depends only on
-/// the seed and `stream`.
+/// the seed.
 fn mix_requests(
     seed: u64,
-    stream: u64,
     n: usize,
     tenants: &mut [Tenant],
     stamper: &mut Stamper,
 ) -> (Vec<Request>, f64) {
-    let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ stream);
+    let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let zipf = ZipfTable::new(TENANTS as u64, ZIPF_S);
-    let pool = streams::Distribution::WebLatency.generate(1 << 16, seed ^ 0xA11CE ^ stream);
+    let pool = streams::Distribution::WebLatency.generate(1 << 16, seed ^ 0xA11CE);
     let mut written = [false; TENANTS];
     let (mut reads, mut stale_reads) = (0u64, 0u64);
     let total: u32 = MIX.iter().sum();
@@ -123,38 +97,6 @@ fn mix_requests(
     (out, stale_reads as f64 / reads.max(1) as f64)
 }
 
-/// Poisson arrivals at `rate` for `secs` carrying [`mix_requests`].
-fn plan_step(
-    seed: u64,
-    step: usize,
-    rate: f64,
-    secs: f64,
-    mut tenants: Vec<Tenant>,
-    mut stamper: Stamper,
-) -> Step {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x7137_u64.wrapping_mul(step as u64 + 1));
-    let mut times = Vec::new();
-    let mut at = 0.0f64;
-    loop {
-        at += -(1.0 - rng.gen::<f64>()).ln() / rate;
-        if at >= secs {
-            break;
-        }
-        times.push((at * 1e9) as u64);
-    }
-    let (reqs, read_after_write) =
-        mix_requests(seed, step as u64, times.len(), &mut tenants, &mut stamper);
-    Step {
-        plan: times
-            .into_iter()
-            .zip(reqs)
-            .map(|(at_ns, req)| Planned { at_ns, req })
-            .collect(),
-        tenants,
-        read_after_write,
-    }
-}
-
 /// Preloaded tenants with their create and preload requests, stamped first.
 fn preloaded(seed: u64, stamper: &mut Stamper) -> (Vec<Tenant>, Vec<Request>, Vec<Request>) {
     let tenants: Vec<Tenant> = (0..TENANTS)
@@ -183,18 +125,11 @@ fn preloaded(seed: u64, stamper: &mut Stamper) -> (Vec<Tenant>, Vec<Request>, Ve
     (tenants, creates, preload)
 }
 
-/// `monitor_seq`: the same traffic in a closed loop, one request in flight
-/// (see [`crate::closed`]).
-pub fn run_sequential(ctx: &Ctx, rep: &mut Report, spans: &mut Spans) -> Result<(), ReqError> {
+pub fn run(ctx: &Ctx, rep: &mut Report, spans: &mut Spans) -> Result<(), ReqError> {
     let mut stamper = Stamper::new(CLIENT_ID);
     let (mut tenants, creates, preload) = preloaded(ctx.seed, &mut stamper);
-    let (ops, read_after_write) = mix_requests(
-        ctx.seed,
-        u64::MAX,
-        SEQUENTIAL_OPS,
-        &mut tenants,
-        &mut stamper,
-    );
+    let (ops, read_after_write) =
+        mix_requests(ctx.seed, SEQUENTIAL_OPS, &mut tenants, &mut stamper);
     let traffic = Traffic {
         name: "monitor-seq",
         tenants,
@@ -204,274 +139,4 @@ pub fn run_sequential(ctx: &Ctx, rep: &mut Report, spans: &mut Spans) -> Result<
         read_after_write,
     };
     closed::run(ctx, rep, spans, &traffic, Transport::Evented)
-}
-
-/// Outcome of one ladder step.
-struct StepResult {
-    setup_s: f64,
-    passed: bool,
-    p99_all_us: f64,
-}
-
-pub fn run(ctx: &Ctx, rep: &mut Report, spans: &mut Spans) -> Result<(), ReqError> {
-    if let Err(e) = openloop::self_test() {
-        rep.gate(false, || format!("open-loop generator self-test: {e}"));
-    }
-    let steps: Vec<(usize, f64)> = if ctx.trace {
-        // Traced runs measure the nominal rate twice: untraced, then traced.
-        vec![(NOMINAL, ctx.seconds / 2.0), (NOMINAL, ctx.seconds / 2.0)]
-    } else {
-        let nominal_secs = 0.7 * ctx.seconds;
-        let other_secs = (0.06 * ctx.seconds).max(0.8);
-        (0..LADDER.len())
-            .map(|i| {
-                (
-                    i,
-                    if i == NOMINAL {
-                        nominal_secs
-                    } else {
-                        other_secs
-                    },
-                )
-            })
-            .collect()
-    };
-    let mut setup_s = Vec::new();
-    let mut ladder: Vec<(f64, f64, bool)> = Vec::new();
-    let mut read_p50 = Vec::new();
-    // Every step runs: a step that misses on a host stall must not end the
-    // climb below the real saturation point.
-    for (n, &(i, secs)) in steps.iter().enumerate() {
-        let traced = ctx.trace && n == 1;
-        let res = run_step(ctx, rep, spans, i, secs, traced, &mut read_p50)?;
-        setup_s.push(res.setup_s);
-        eprintln!(
-            "perfbench: monitor_mix rate {} /s: p99 {:.0} us, {}",
-            LADDER[i],
-            res.p99_all_us,
-            if res.passed { "met" } else { "missed" }
-        );
-        // A step that missed for failures or a growing backlog rather than
-        // latency is not interpolated into.
-        let latency_miss = res.p99_all_us > P99_LIMIT_MS * 1e3;
-        let p99 = if res.passed || latency_miss {
-            res.p99_all_us
-        } else {
-            f64::MAX
-        };
-        ladder.push((LADDER[i], p99, res.passed));
-    }
-    rep.metric("setup_s", median(&setup_s), "s");
-    if ctx.trace {
-        rep.metric(
-            "trace.overhead_pct",
-            100.0 * (read_p50[1] - read_p50[0]) / read_p50[0],
-            "%",
-        );
-    } else {
-        rep.metric("max_rps", max_rps(&ladder), "1/s");
-    }
-    Ok(())
-}
-
-/// Highest sustainable rate from the ladder steps run, given ascending as
-/// (rate, p99 µs, met), where a step that missed for another reason than
-/// latency carries a p99 of `f64::MAX`. From the highest step that met the
-/// limit, the rate is interpolated log-linearly in the p99 towards the next
-/// step, to where the p99 reaches the limit, so the figure does not jump a
-/// whole ladder step on noise. A miss below the highest met step is taken
-/// as a host hiccup and does not cap the figure.
-fn max_rps(ladder: &[(f64, f64, bool)]) -> f64 {
-    let limit = P99_LIMIT_MS * 1e3;
-    let Some(h) = ladder.iter().rposition(|s| s.2) else {
-        let (r0, p0, _) = ladder[0];
-        return if p0 < f64::MAX { r0 * limit / p0 } else { 0.0 };
-    };
-    let (rp, a, _) = ladder[h];
-    let Some(&(rf, b, _)) = ladder.get(h + 1) else {
-        return rp;
-    };
-    if b == f64::MAX {
-        return rp;
-    }
-    let x = (limit.ln() - a.ln()) / (b.ln() - a.ln());
-    rp * (rf / rp).powf(x)
-}
-
-fn run_step(
-    ctx: &Ctx,
-    rep: &mut Report,
-    spans: &mut Spans,
-    i: usize,
-    secs: f64,
-    traced: bool,
-    read_p50: &mut Vec<f64>,
-) -> Result<StepResult, ReqError> {
-    let nominal = i == NOMINAL;
-    let mut stamper = Stamper::new(CLIENT_ID);
-    let (preload_tenants, creates, preload) = preloaded(ctx.seed, &mut stamper);
-    let step = plan_step(
-        ctx.seed,
-        i,
-        LADDER[i],
-        secs,
-        preload_tenants.clone(),
-        stamper,
-    );
-    let dir = fresh_dir(&ctx.work.join(format!("monitor-{i}")))?;
-
-    let t_setup = Instant::now();
-    let svc = open_service(&dir, 0)?;
-    let server = serve_evented(svc.clone(), "127.0.0.1:0", 1)?;
-    let mut wire = BinWire::connect(server.addr())?;
-    let mut off = Spans::new(false);
-    for r in &creates {
-        let resp = wire.call(r, u64::MAX, &mut off)?;
-        rep.check(r, &resp);
-    }
-    pipelined(&mut wire, &preload, 8, 0, &mut off, |j, resp, _, _| {
-        rep.check(&preload[j], &resp);
-    })?;
-    let setup_s = t_setup.elapsed().as_secs_f64();
-
-    let run = openloop::run(server.addr(), &step.plan, 0, traced, None)?;
-    // Latencies by class, in equal slices of the schedule.
-    let windows = if nominal {
-        NOMINAL_WINDOWS
-    } else {
-        STEP_WINDOWS
-    };
-    let mut by_window = vec![(Vec::new(), Vec::new(), Vec::new(), Vec::new()); windows];
-    let mut read = Vec::new();
-    let mut values_acked = 0u64;
-    let mut ok = true;
-    for (p, o) in step.plan.iter().zip(&run.outcomes) {
-        let good = rep.check(&p.req, &o.resp);
-        ok &= good;
-        let us = o.latency_us();
-        let w = &mut by_window
-            [((p.at_ns as f64 / 1e9 / secs * windows as f64) as usize).min(windows - 1)];
-        w.3.push(if good { us } else { f64::INFINITY });
-        match &p.req {
-            Request::AddBatch { values, .. } => {
-                w.0.push(us);
-                values_acked += values.len() as u64;
-            }
-            Request::Merge { .. } => w.2.push(us),
-            _ => {
-                w.1.push(us);
-                read.push(us);
-            }
-        }
-    }
-    let (mut addb, mut reads, mut merge, mut all) = (
-        Windowed::default(),
-        Windowed::default(),
-        Windowed::default(),
-        Windowed::default(),
-    );
-    for (a, r, m, every) in by_window {
-        addb.push(a);
-        reads.push(r);
-        merge.push(m);
-        all.push(every);
-    }
-    let p99_all_us = all.percentile(0.99);
-    let passed = ok && p99_all_us <= P99_LIMIT_MS * 1e3 && run.backlog_end <= BACKLOG_LIMIT;
-    read_p50.push(percentile(&read, 0.5));
-
-    if nominal && (!ctx.trace || traced) {
-        let span_secs = (run.outcomes.last().map_or(0, |o| o.done_ns)
-            - run.outcomes.first().map_or(0, |o| o.due_ns)) as f64
-            / 1e9;
-        let probes = probe_requests(&step.tenants);
-        let mut probe_resps = Vec::new();
-        for p in &probes {
-            let mut rs = Vec::new();
-            for r in p {
-                let resp = wire.call(r, u64::MAX, &mut off)?;
-                rep.check(r, &resp);
-                rs.push(resp);
-            }
-            probe_resps.push(rs);
-        }
-        let answers = collect_answers(&probes, &probe_resps);
-        let mut retained = 0;
-        for t in &step.tenants {
-            let r = Request::Stats { key: t.key.clone() };
-            let resp = wire.call(&r, u64::MAX, &mut off)?;
-            rep.check(&r, &resp);
-            if let Response::Stats(s) = resp {
-                retained += s.retained;
-            }
-        }
-        drop(wire);
-        server.shutdown();
-        drop(svc);
-        let disk = dir_bytes(&dir)?;
-        let (recover_s, replayed) = reopen_and_check(&dir, 0, &probes, &answers, 5, rep)?;
-        let (err, within) = tail_rel_err_max(&step.tenants, &answers);
-        rep.gate(within, || {
-            format!("tail_rel_err_max {err} exceeds the tenants' epsilon")
-        });
-        let total_values: usize = step.tenants.iter().map(|t| t.values.len()).sum();
-        let log = Log {
-            codec: Codec::Binary,
-            tenants: preload_tenants.iter().map(|t| t.key.clone()).collect(),
-            preload,
-            reqs: step.plan.iter().map(|p| p.req.clone()).collect(),
-            resps: run.outcomes.iter().map(|o| o.resp.clone()).collect(),
-            every_records: 0,
-        };
-        let twin = layers::checked_twin(&log, retained, rep)?;
-        if ctx.trace {
-            rep.metric("snapshot.count", 0.0, "count");
-            rep.metric("wal.records_replayed", replayed as f64, "count");
-            let late: Vec<f64> = run
-                .outcomes
-                .iter()
-                .map(openloop::Outcome::late_us)
-                .collect();
-            rep.metric("gen.late_p99_us", percentile(&late, 0.99), "us");
-            rep.metric("gen.backlog_max", run.backlog_max as f64, "count");
-            rep.metric("mix.read_after_write_frac", step.read_after_write, "ratio");
-            spans.absorb(run.spans);
-            layers::measure(&log, twin, &ctx.work.join("layers"), spans, rep)?;
-        } else {
-            rep.metric("values_per_s", values_acked as f64 / span_secs, "1/s");
-            eprintln!(
-                "perfbench: monitor_mix windows: addb p99 {:.0?} read p50 {:.0?} read p99 {:.0?}",
-                addb.per_window(0.99),
-                reads.per_window(0.5),
-                reads.per_window(0.99)
-            );
-            rep.metric("addb_p50_us", addb.percentile(0.5), "us");
-            rep.metric("addb_p99_us", addb.percentile(0.99), "us");
-            rep.metric("read_p50_us", reads.percentile(0.5), "us");
-            rep.metric("read_p99_us", reads.percentile(0.99), "us");
-            rep.metric("merge_p50_us", merge.percentile(0.5), "us");
-            rep.metric("retained_items", retained as f64, "count");
-            rep.metric(
-                "disk_bytes_per_value",
-                disk as f64 / total_values as f64,
-                "B",
-            );
-            rep.metric("tail_rel_err_max", err, "ratio");
-            rep.metric("recover_s", recover_s, "s");
-            eprintln!(
-                "perfbench: monitor_mix read_after_write_frac {:.3}",
-                step.read_after_write
-            );
-        }
-    } else {
-        drop(wire);
-        server.shutdown();
-        drop(svc);
-    }
-    std::fs::remove_dir_all(&dir)?;
-    Ok(StepResult {
-        setup_s,
-        passed,
-        p99_all_us,
-    })
 }

@@ -10,6 +10,8 @@ use req_service::Request;
 
 use crate::closed::{self, Traffic, Transport};
 use crate::common::{addb_request, create_request, Ctx, Report, Tenant};
+// The same assumed operation mix as `monitor_seq`.
+use crate::monitor::MIX;
 use crate::trace::Spans;
 use crate::wire::Stamper;
 
@@ -20,8 +22,6 @@ pub const PRELOAD_BATCH: usize = 1024;
 pub const WRITE_BATCH: usize = 16;
 /// Timed requests per session.
 pub const OPS: usize = 20_000;
-/// Operation mix in percent: ADDB, RANK, QUANTILE, CDF, MERGE.
-pub const MIX: [u32; 5] = [30, 30, 25, 14, 1];
 const CLIENT_ID: u64 = 0x7E47;
 
 pub fn run(ctx: &Ctx, rep: &mut Report, spans: &mut Spans) -> Result<(), ReqError> {

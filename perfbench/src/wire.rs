@@ -1,6 +1,7 @@
 //! Blocking clients for the two codecs, built on the public codec
 //! functions so each codec step can be timed on its own.
 
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -59,11 +60,6 @@ impl BinWire {
         })
     }
 
-    /// Split into a sending half and a receiving half for the open loop.
-    pub fn split(self) -> (TcpStream, BufReader<TcpStream>) {
-        (self.writer, self.reader)
-    }
-
     /// Encode and write one request frame.
     pub fn send(
         &mut self,
@@ -72,12 +68,20 @@ impl BinWire {
         parent: u32,
         spans: &mut Spans,
     ) -> Result<(), ReqError> {
-        send_frame(&mut self.writer, req, id, parent, spans)
+        let t0 = now_ns();
+        let frame = binary::encode_request(req);
+        spans.record(id, parent, "client.encode", t0, now_ns());
+        self.writer.write_all(&frame)?;
+        Ok(())
     }
 
     /// Read and decode one response frame.
     pub fn recv(&mut self, id: u64, parent: u32, spans: &mut Spans) -> Result<Response, ReqError> {
-        recv_frame(&mut self.reader, id, parent, spans)
+        let payload = binary::read_frame_blocking(&mut self.reader)?;
+        let t0 = now_ns();
+        let resp = binary::decode_response(payload);
+        spans.record(id, parent, "client.decode", t0, now_ns());
+        resp
     }
 
     /// One sequential round trip; the root span is `roundtrip`.
@@ -94,33 +98,35 @@ impl BinWire {
         spans.record_with_id(root, id, 0, "roundtrip", t0, now_ns());
         Ok(resp)
     }
-}
 
-pub fn send_frame(
-    w: &mut TcpStream,
-    req: &Request,
-    id: u64,
-    parent: u32,
-    spans: &mut Spans,
-) -> Result<(), ReqError> {
-    let t0 = now_ns();
-    let frame = binary::encode_request(req);
-    spans.record(id, parent, "client.encode", t0, now_ns());
-    w.write_all(&frame)?;
-    Ok(())
-}
-
-pub fn recv_frame(
-    r: &mut BufReader<TcpStream>,
-    id: u64,
-    parent: u32,
-    spans: &mut Spans,
-) -> Result<Response, ReqError> {
-    let payload = binary::read_frame_blocking(r)?;
-    let t0 = now_ns();
-    let resp = binary::decode_response(payload);
-    spans.record(id, parent, "client.decode", t0, now_ns());
-    resp
+    /// Send `reqs` keeping up to `window` in flight; call
+    /// `on_done(index, response, sent_ns, done_ns)` as each response
+    /// arrives. Each request's root span is `roundtrip`.
+    pub fn pipelined(
+        &mut self,
+        reqs: &[Request],
+        window: usize,
+        spans: &mut Spans,
+        mut on_done: impl FnMut(usize, Response, u64, u64),
+    ) -> Result<(), ReqError> {
+        let mut inflight: VecDeque<(usize, u64, u32)> = VecDeque::with_capacity(window);
+        let mut next = 0;
+        while next < reqs.len() || !inflight.is_empty() {
+            while next < reqs.len() && inflight.len() < window {
+                let root = spans.reserve();
+                let t = now_ns();
+                self.send(&reqs[next], next as u64, root, spans)?;
+                inflight.push_back((next, t, root));
+                next += 1;
+            }
+            let (i, sent, root) = inflight.pop_front().expect("a request is in flight");
+            let resp = self.recv(i as u64, root, spans)?;
+            let done = now_ns();
+            spans.record_with_id(root, i as u64, 0, "roundtrip", sent, done);
+            on_done(i, resp, sent, done);
+        }
+        Ok(())
+    }
 }
 
 /// Text-codec connection (one line per message), as `req-server` speaks.
