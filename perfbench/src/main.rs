@@ -14,6 +14,7 @@
 
 mod closed;
 mod common;
+mod host;
 mod ingest;
 mod layers;
 mod monitor;
@@ -34,14 +35,14 @@ const END_TO_END: [&str; 13] = [
     "setup_s",
     "values_per_s",
     "addb_p50_us",
-    "addb_p99_us",
+    "addb_p90_us",
     "read_p50_us",
-    "read_p99_us",
+    "read_p90_us",
     "merge_p50_us",
     "requests_per_s",
     "retained_items",
     "disk_bytes_per_value",
-    "tail_rel_err_max",
+    "tail_rel_err_mean",
     "recover_s",
     "ok_frac",
 ];
@@ -133,6 +134,14 @@ fn main() -> ExitCode {
         work: root.join(format!("{workload}-{seed}-{}", std::process::id())),
         server_bin,
     };
+    // Before any thread or child process exists, so that all inherit it.
+    match host::pin_to_one_cpu() {
+        Some(cpu) => eprintln!("perfbench: pinned to CPU {cpu}"),
+        None => eprintln!("perfbench: could not pin to one CPU; running unpinned"),
+    }
+    if !host::batch_policy() {
+        eprintln!("perfbench: could not switch to SCHED_BATCH");
+    }
     trace::now_ns();
     let mut rep = Report::default();
     let mut spans = Spans::new(trace);

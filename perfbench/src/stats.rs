@@ -37,11 +37,13 @@ pub fn mean(values: &[f64]) -> f64 {
 }
 
 /// Latency samples grouped into windows (a round, a session, a slice of a
-/// step). A percentile is reported as the lower quartile over windows of
-/// each window's percentile. On a shared host a neighbour's burst stalls
-/// whole windows at random; the lower quartile leaves those out, while a
-/// pause of the program's own, which recurs in most windows, still moves
-/// the figure.
+/// session). A percentile is reported as the median over windows of each
+/// window's percentile. On a shared host a neighbour's burst stalls whole
+/// windows at random, and the host switches round trips between a fast and
+/// a slow mode (about 13 µs and 20 µs for a cached read) for seconds at a
+/// time; the median over windows follows the mode most of the run was in
+/// and leaves single bursts out, while a pause of the program's own, which
+/// recurs in most windows, still moves the figure.
 #[derive(Debug, Default)]
 pub struct Windowed {
     windows: Vec<Vec<f64>>,
@@ -55,7 +57,7 @@ impl Windowed {
     }
 
     pub fn percentile(&self, p: f64) -> f64 {
-        percentile(&self.per_window(p), 0.25)
+        median(&self.per_window(p))
     }
 
     /// Each window's percentile, in window order.
