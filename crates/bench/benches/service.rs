@@ -10,8 +10,8 @@
 //!   sketch (the service path adds registry lookup + cached merged
 //!   snapshot).
 //! * `service_tcp` — full loopback round-trips (`RANK`, 1k-value `ADDB`)
-//!   against a live `req-server`, measuring the wire + parse + dispatch
-//!   overhead per request.
+//!   over the text codec against a live server, measuring the wire +
+//!   parse + dispatch overhead per request.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,7 +20,9 @@ use std::sync::Arc;
 use req_bench::bench_items;
 use req_core::{OrdF64, QuantileSketch, RankAccuracy, ReqSketch};
 use req_service::tempdir::TempDir;
-use req_service::{serve, ClientApi, QuantileService, ReqClient, ServiceConfig, TenantConfig};
+use req_service::{
+    serve_evented, ClientApi, QuantileService, ReqClient, ServiceConfig, TenantConfig,
+};
 
 const N: usize = 100_000;
 const BATCH: usize = 1_000;
@@ -117,7 +119,7 @@ fn bench_tcp(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_tcp");
     let dir = TempDir::new("bench-tcp").unwrap();
     let service = Arc::new(open_service(dir.path(), 0));
-    let handle = serve(Arc::clone(&service), "127.0.0.1:0", 2).unwrap();
+    let handle = serve_evented(Arc::clone(&service), "127.0.0.1:0", 2).unwrap();
     let key = fresh_key(&service);
     let items: Vec<f64> = bench_items(N, 13).into_iter().map(|v| v as f64).collect();
     {

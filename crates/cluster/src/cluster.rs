@@ -21,9 +21,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use req_core::ReqError;
-use req_evented::{serve_evented, EventedHandle};
 use req_service::tempdir::TempDir;
-use req_service::{QuantileService, RetryPolicy, ServiceConfig};
+use req_service::{serve_evented, EventedHandle, QuantileService, RetryPolicy, ServiceConfig};
 
 use crate::router::Router;
 use crate::ship::TailShipper;

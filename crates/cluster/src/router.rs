@@ -26,9 +26,8 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 
 use req_core::{merge_wire_parts, OrdF64, ReqError, ReqSketch};
-use req_evented::ReqBinClient;
 use req_service::client::{attach_token, fresh_client_id};
-use req_service::{ClientApi, Request, Response, RetryPolicy, TenantConfig};
+use req_service::{ClientApi, ReqBinClient, Request, Response, RetryPolicy, TenantConfig};
 
 use crate::ring::HashRing;
 

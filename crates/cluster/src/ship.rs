@@ -23,8 +23,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use req_evented::ReqBinClient;
-use req_service::{ClientApi, QuantileService, RetryPolicy};
+use req_service::{ClientApi, QuantileService, ReqBinClient, RetryPolicy};
 
 /// Largest slice requested per `TAIL` round trip.
 const TAIL_BUDGET: u32 = 1 << 20;

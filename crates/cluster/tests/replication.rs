@@ -10,12 +10,11 @@
 //! bytes, the same snapshot bytes, the same serialized sketch state.
 
 use req_cluster::{Cluster, TailShipper};
-use req_evented::{serve_evented, serve_evented_with, EventedOptions};
 use req_service::snapshot::{snapshot_path, wal_path};
 use req_service::tempdir::TempDir;
 use req_service::{
-    ClientApi, FaultKind, FaultPlane, FaultSite, QuantileService, Request, RetryPolicy,
-    ServiceConfig, TenantConfig,
+    serve_evented, serve_evented_with, ClientApi, EventedOptions, FaultKind, FaultPlane, FaultSite,
+    QuantileService, Request, RetryPolicy, ServiceConfig, TenantConfig,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};

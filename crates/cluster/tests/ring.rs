@@ -19,9 +19,11 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use req_cluster::{Cluster, HashRing};
-use req_evented::{serve_evented, ReqBinClient};
 use req_service::tempdir::TempDir;
-use req_service::{ClientApi, QuantileService, Request, RetryPolicy, ServiceConfig, TenantConfig};
+use req_service::{
+    serve_evented, ClientApi, QuantileService, ReqBinClient, Request, RetryPolicy, ServiceConfig,
+    TenantConfig,
+};
 use std::sync::Arc;
 
 fn names(n: usize) -> Vec<String> {

@@ -12,11 +12,10 @@
 //!   shipper lag counters PR 9 kept in-process only.
 
 use req_cluster::TailShipper;
-use req_evented::{serve_evented, ReqBinClient};
 use req_service::tempdir::TempDir;
 use req_service::{
-    Accuracy, ClientApi, QuantileService, Request, Response, RetryPolicy, ServiceConfig,
-    TenantConfig,
+    serve_evented, Accuracy, ClientApi, QuantileService, ReqBinClient, Request, Response,
+    RetryPolicy, ServiceConfig, TenantConfig,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};

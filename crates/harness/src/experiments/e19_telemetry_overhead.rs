@@ -26,10 +26,10 @@
 //! workloads (the in-tree smoke test allows more headroom because CI
 //! machines are noisy).
 
-use req_evented::{serve_evented, ReqBinClient};
 use req_service::tempdir::TempDir;
 use req_service::{
-    Accuracy, ClientApi, QuantileService, Request, RetryPolicy, ServiceConfig, TenantConfig,
+    serve_evented, Accuracy, ClientApi, QuantileService, ReqBinClient, Request, RetryPolicy,
+    ServiceConfig, TenantConfig,
 };
 use std::sync::Arc;
 use std::time::Instant;

@@ -1,36 +1,9 @@
-//! # `req-evented` — event-driven binary front-end for the quantile service
+//! # `req-evented` — re-export of `req_service`'s server and binary client
 //!
-//! A sibling of `req_service`'s thread-per-connection text server, sharing
-//! every core underneath (registry, WAL + group commit, snapshots, and the
-//! typed [`req_service::Request`]/[`req_service::Response`] protocol): this
-//! crate only swaps the *transport*. Readiness-driven event loops over
-//! non-blocking sockets (via the vendored `polling` epoll shim) hold
-//! thousands of idle connections per thread — a parked connection costs a
-//! registry entry and two buffers, not a parked OS thread — and the
-//! length-prefixed binary codec ([`req_service::protocol::binary`]) makes
-//! request **pipelining** natural: a client writes any number of frames
-//! without waiting, the server answers each in arrival order on the same
-//! connection.
-//!
-//! ```text
-//!   text + thread pool (PR 5)        binary + evented (this crate)
-//!   ─────────────────────────        ─────────────────────────────
-//!   1 thread per connection          N loops (default: 1), each owning
-//!   blocking read_line per request   many connections' state machines
-//!   1 in-flight request per conn     full-pipeline: k frames in flight
-//!   ≤64 concurrent connections       fd-limit-bound connection density
-//! ```
-//!
-//! Both servers funnel every request through
-//! [`req_service::server::execute`], so a command behaves identically on
-//! either transport — the cross-codec equivalence tests in `req-service`
-//! pin that down.
+//! The one reason this crate exists: the repository benchmark
+//! (`perfbench/`) depends on it by path and imports
+//! `req_evented::{serve_evented, EventedHandle}`.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-pub mod client;
-pub mod server;
-
-pub use client::ReqBinClient;
-pub use server::{serve_evented, serve_evented_with, EventedHandle, EventedOptions};
+pub use req_service::{
+    serve_evented, serve_evented_with, EventedHandle, EventedOptions, ReqBinClient,
+};

@@ -22,11 +22,9 @@
 //! req-cli STATS api.latency
 //! ```
 
-// The CLI is a raw-line pass-through by design; it stays on the
-// deprecated string round-trip until the text shim is removed.
-#![allow(deprecated)]
-
-use req_service::{ClientApi, ReqClient, RetryPolicy};
+use req_core::ReqError;
+use req_service::protocol::text;
+use req_service::{ClientApi, ReqClient, Request, Response, RetryPolicy};
 use std::io::BufRead;
 use std::time::Duration;
 
@@ -41,6 +39,34 @@ fn usage() -> ! {
          \x20         METRICS EVENTS"
     );
     std::process::exit(2);
+}
+
+/// Parse one command line, send it with retries, and render the reply
+/// as its text-codec payload (`OK` for an empty one).
+///
+/// `ADD` has no idempotency token on the wire, so a retry after a lost
+/// reply could apply it twice; it goes out as a one-value `ADDB`, which
+/// carries one, and is answered as `ADD` would be.
+fn run(client: &mut ReqClient, line: &str) -> Result<String, ReqError> {
+    let (req, is_add) = match text::decode_request(line)? {
+        Request::Add { key, value } => (
+            Request::AddBatch {
+                key,
+                values: vec![value],
+                token: None,
+            },
+            true,
+        ),
+        req => (req, false),
+    };
+    let resp = match client.call(&req)?.into_result()? {
+        Response::AddedBatch(_) if is_add => Response::Added,
+        resp => resp,
+    };
+    let line = text::encode_response(&resp);
+    let payload = line.strip_prefix("OK").unwrap_or(&line);
+    let payload = payload.strip_prefix(' ').unwrap_or(payload);
+    Ok(if payload.is_empty() { "OK" } else { payload }.to_string())
 }
 
 fn main() {
@@ -121,8 +147,7 @@ fn main() {
             if line.trim().is_empty() {
                 continue;
             }
-            match client.roundtrip(line.trim()) {
-                Ok(payload) if payload.is_empty() => println!("OK"),
+            match run(&mut client, &line) {
                 Ok(payload) => println!("{payload}"),
                 Err(e) => eprintln!("error: {e}"),
             }
@@ -131,8 +156,7 @@ fn main() {
     }
 
     let line = args.join(" ");
-    match client.roundtrip(&line) {
-        Ok(payload) if payload.is_empty() => println!("OK"),
+    match run(&mut client, &line) {
         Ok(payload) => println!("{payload}"),
         Err(e) => {
             eprintln!("error: {e}");

@@ -7,13 +7,18 @@
 //!            [--no-telemetry]
 //! ```
 //!
+//! One port serves both codecs: each connection speaks text (one line per
+//! message, e.g. `printf 'PING\n' | nc 127.0.0.1 7878`) or binary frames,
+//! told apart by its first four bytes. `--threads` sets the number of
+//! event loops (clamped to `1..=8`).
+//!
 //! `--max-inflight` bounds concurrently queued mutations (excess sheds
 //! with `BUSY`; 0 = unbounded); `--dedup-window` sets how many recent
 //! per-client idempotency tokens the service remembers for exactly-once
 //! retries (default 64); `--no-telemetry` turns off metric and event
 //! recording (`METRICS`/`EVENTS` still answer, with frozen values).
 
-use req_service::{serve, QuantileService, ServiceConfig};
+use req_service::{serve_evented, QuantileService, ServiceConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -97,7 +102,7 @@ fn main() {
     let _snapshotter =
         (interval_secs > 0).then(|| service.spawn_snapshotter(Duration::from_secs(interval_secs)));
 
-    match serve(Arc::clone(&service), &addr, threads) {
+    match serve_evented(Arc::clone(&service), &addr, threads) {
         Ok(handle) => {
             println!("req-server: listening on {}", handle.addr());
             // Serve until killed; durability is the whole point — state is

@@ -5,9 +5,9 @@
 //! typed [`Response`]; every command gets a typed convenience method
 //! (`rank()`, `quantile()`, `add_batch()`, …) as a default on the trait.
 //! [`ReqClient`] implements it over the text codec (one line per
-//! message); `req_evented::ReqBinClient` implements the same trait over
-//! CRC32-framed binary messages — callers swap transports without
-//! touching call sites.
+//! message); [`ReqBinClient`] implements the same trait over CRC32-framed
+//! binary messages — callers swap codecs without touching call sites.
+//! Both speak to the same server port.
 //!
 //! Remote failures come back as the same [`ReqError`] variants the server
 //! raised (the error kind round-trips through [`Response::Err`]), so
@@ -23,6 +23,12 @@
 //! it exactly once — even across a server crash and recovery. Queries are
 //! naturally idempotent and retry freely; a plain `ADD` carries no token
 //! and is never auto-retried.
+//!
+//! The extra capability of the binary client is
+//! [`ReqBinClient::call_pipelined`]: write a whole batch of request
+//! frames in one send, then collect the responses in order. The server
+//! serves every complete request it finds per wake-up, so a pipelined
+//! batch costs ~one round trip instead of one per command.
 
 use req_core::ReqError;
 use std::io::{BufRead, BufReader, Write};
@@ -31,7 +37,7 @@ use std::time::Duration;
 
 use crate::config::TenantConfig;
 use crate::faults::mix;
-use crate::protocol::{text, IdemToken, Request, Response, TailSegment};
+use crate::protocol::{binary, text, ErrorKind, IdemToken, Request, Response, TailSegment};
 use crate::service::TenantStats;
 
 /// Timeouts and retry/backoff settings for resilient clients.
@@ -421,12 +427,19 @@ struct TextConn {
     writer: TcpStream,
 }
 
+/// Open a connection with `policy`'s timeouts and `TCP_NODELAY` (small
+/// requests must leave at once).
+fn dial(addr: &SocketAddr, policy: &RetryPolicy) -> Result<TcpStream, ReqError> {
+    let stream = TcpStream::connect_timeout(addr, policy.connect_timeout)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(policy.read_timeout))?;
+    stream.set_write_timeout(Some(policy.write_timeout))?;
+    Ok(stream)
+}
+
 impl TextConn {
-    fn dial(addr: &SocketAddr, policy: &RetryPolicy) -> Result<Self, ReqError> {
-        let stream = TcpStream::connect_timeout(addr, policy.connect_timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(policy.read_timeout))?;
-        stream.set_write_timeout(Some(policy.write_timeout))?;
+    fn connect(addr: &SocketAddr, policy: &RetryPolicy) -> Result<Self, ReqError> {
+        let stream = dial(addr, policy)?;
         let writer = stream.try_clone()?;
         Ok(TextConn {
             reader: BufReader::new(stream),
@@ -436,15 +449,18 @@ impl TextConn {
 
     /// Send one raw line, return the raw response line (unparsed).
     fn send_line(&mut self, line: &str) -> Result<String, ReqError> {
-        // One write per request (see server.rs on TCP_NODELAY packets).
+        // One write per request: with TCP_NODELAY a separate newline
+        // write would go out as its own packet.
         let mut framed = String::with_capacity(line.len() + 1);
         framed.push_str(line);
         framed.push('\n');
         self.writer.write_all(framed.as_bytes())?;
         self.writer.flush()?;
         let mut response = String::new();
-        let n = self.reader.read_line(&mut response)?;
-        if n == 0 {
+        self.reader.read_line(&mut response)?;
+        // A line cut short by EOF is a torn response, not a short answer
+        // (`OK 6` from `OK 64`): report it as the transport failure it is.
+        if !response.ends_with('\n') {
             return Err(ReqError::Io("server closed the connection".into()));
         }
         while response.ends_with('\n') || response.ends_with('\r') {
@@ -466,7 +482,7 @@ impl ReqClient {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| ReqError::InvalidParameter("address resolved to nothing".into()))?;
-        let conn = TextConn::dial(&addr, &policy)?;
+        let conn = TextConn::connect(&addr, &policy)?;
         Ok(ReqClient {
             conn: Some(conn),
             addr,
@@ -488,7 +504,7 @@ impl ReqClient {
 
     fn conn(&mut self) -> Result<&mut TextConn, ReqError> {
         if self.conn.is_none() {
-            self.conn = Some(TextConn::dial(&self.addr, &self.policy)?);
+            self.conn = Some(TextConn::connect(&self.addr, &self.policy)?);
         }
         Ok(self.conn.as_mut().expect("just ensured"))
     }
@@ -508,55 +524,170 @@ impl ReqClient {
         }
         result
     }
-
-    /// Send one raw request line and return the response payload string.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ClientApi::call` with a typed `Request` (this shim \
-                survives one release for `req-cli` pass-through)"
-    )]
-    pub fn roundtrip(&mut self, line: &str) -> Result<String, ReqError> {
-        let response = self.send_line(line)?;
-        #[allow(deprecated)]
-        crate::protocol::parse_response(&response)
-    }
 }
 
 impl ClientApi for ReqClient {
     fn call(&mut self, req: &Request) -> Result<Response, ReqError> {
         let mut req = req.clone();
         attach_token(&mut req, self.client_id, &mut self.next_seq);
-        let retryable = is_retryable(&req);
         let line = text::encode_request(&req);
-        let mut attempt = 0u32;
-        loop {
-            let result = self
-                .send_line(&line)
-                .and_then(|resp| text::decode_response(&resp, req.kind()));
-            let give_up = attempt >= self.policy.max_retries;
-            match result {
-                // `Busy` (shed) and `Unavailable` (read-only) replies had
-                // no side effect — back off and retry even without a
-                // token; read-only heals on the next snapshot rotation.
-                Ok(Response::Err {
-                    kind: crate::protocol::ErrorKind::Busy | crate::protocol::ErrorKind::Unavailable,
-                    msg: _,
-                }) if !give_up => {}
-                // A server-side Io reply is ambiguous (the record may or
-                // may not have reached the WAL) — only the token's dedup
-                // window makes re-sending safe.
-                Ok(Response::Err {
-                    kind: crate::protocol::ErrorKind::Io,
-                    msg: _,
-                }) if retryable && !give_up => {}
-                Ok(resp) => return Ok(resp),
-                // Transport-level Io failures are equally ambiguous; the
-                // token (or natural idempotence) makes the re-send safe.
-                Err(ReqError::Io(_)) if retryable && !give_up => {}
-                Err(e) => return Err(e),
-            }
-            std::thread::sleep(self.policy.backoff(attempt));
-            attempt += 1;
+        let policy = self.policy.clone();
+        call_with_retries(&policy, is_retryable(&req), || {
+            self.send_line(&line)
+                .and_then(|resp| text::decode_response(&resp, req.kind()))
+        })
+    }
+}
+
+/// The retry loop both clients share: run `attempt` (one send and
+/// receive of an already-stamped request) until it yields an answer to
+/// keep or `policy` gives up. `retryable` is [`is_retryable`] of the
+/// request.
+fn call_with_retries(
+    policy: &RetryPolicy,
+    retryable: bool,
+    mut attempt: impl FnMut() -> Result<Response, ReqError>,
+) -> Result<Response, ReqError> {
+    let mut tries = 0u32;
+    loop {
+        let result = attempt();
+        let give_up = tries >= policy.max_retries;
+        match result {
+            // `Busy` (shed) and `Unavailable` (read-only) replies had
+            // no side effect — back off and retry even without a
+            // token; read-only heals on the next snapshot rotation.
+            Ok(Response::Err {
+                kind: ErrorKind::Busy | ErrorKind::Unavailable,
+                msg: _,
+            }) if !give_up => {}
+            // A server-side Io reply is ambiguous (the record may or
+            // may not have reached the WAL) — only the token's dedup
+            // window makes re-sending safe.
+            Ok(Response::Err {
+                kind: ErrorKind::Io,
+                msg: _,
+            }) if retryable && !give_up => {}
+            Ok(resp) => return Ok(resp),
+            // Transport-level Io failures are equally ambiguous; the
+            // token (or natural idempotence) makes the re-send safe.
+            Err(ReqError::Io(_)) if retryable && !give_up => {}
+            Err(e) => return Err(e),
         }
+        std::thread::sleep(policy.backoff(tries));
+        tries += 1;
+    }
+}
+
+/// A blocking client for the binary framed codec, with the same
+/// [`RetryPolicy`]-driven resilience as [`ReqClient`]: connect/read/write
+/// timeouts, reconnect-and-retry with deterministic jittered backoff, and
+/// idempotency tokens auto-stamped onto mutations so an ambiguous retry
+/// applies exactly once server-side.
+#[derive(Debug)]
+pub struct ReqBinClient {
+    stream: Option<TcpStream>,
+    addr: SocketAddr,
+    policy: RetryPolicy,
+    client_id: u64,
+    next_seq: u64,
+}
+
+impl ReqBinClient {
+    /// Connect to a server at `addr` (e.g. `"127.0.0.1:7878"`) with the
+    /// default [`RetryPolicy`].
+    pub fn connect(addr: impl ToSocketAddrs) -> Result<ReqBinClient, ReqError> {
+        Self::connect_with(addr, RetryPolicy::default())
+    }
+
+    /// Connect with an explicit policy.
+    pub fn connect_with(
+        addr: impl ToSocketAddrs,
+        policy: RetryPolicy,
+    ) -> Result<ReqBinClient, ReqError> {
+        let addr = addr
+            .to_socket_addrs()?
+            .next()
+            .ok_or_else(|| ReqError::InvalidParameter("address resolved to nothing".into()))?;
+        let stream = dial(&addr, &policy)?;
+        Ok(ReqBinClient {
+            stream: Some(stream),
+            addr,
+            policy,
+            client_id: fresh_client_id(),
+            next_seq: 1,
+        })
+    }
+
+    /// The id stamped into this client's idempotency tokens.
+    pub fn client_id(&self) -> u64 {
+        self.client_id
+    }
+
+    /// The active policy.
+    pub fn policy(&self) -> &RetryPolicy {
+        &self.policy
+    }
+
+    fn stream(&mut self) -> Result<&mut TcpStream, ReqError> {
+        if self.stream.is_none() {
+            self.stream = Some(dial(&self.addr, &self.policy)?);
+        }
+        Ok(self.stream.as_mut().expect("just ensured"))
+    }
+
+    /// Send one request frame without waiting for the response.
+    /// Pair with [`ReqBinClient::read_response`] to drain replies later.
+    pub fn send(&mut self, req: &Request) -> Result<(), ReqError> {
+        let frame = binary::encode_request(req);
+        let result = self.stream()?.write_all(&frame).map_err(ReqError::from);
+        if result.is_err() {
+            self.stream = None;
+        }
+        result
+    }
+
+    /// Block until one response frame arrives and decode it.
+    pub fn read_response(&mut self) -> Result<Response, ReqError> {
+        let result = binary::read_frame_blocking(self.stream()?).and_then(binary::decode_response);
+        if result.is_err() {
+            self.stream = None;
+        }
+        result
+    }
+
+    /// Issue a batch of requests as one pipelined write, then read the
+    /// responses back in request order. Transport errors abort the whole
+    /// batch (no auto-retry — half-read pipelines are not resumable);
+    /// per-request failures come back as [`Response::Err`] in their slot.
+    /// Mutations still get tokens stamped, so the caller may re-issue the
+    /// same batch and the server dedups whatever already applied.
+    pub fn call_pipelined(&mut self, reqs: &[Request]) -> Result<Vec<Response>, ReqError> {
+        let mut stamped = reqs.to_vec();
+        let mut batch = Vec::new();
+        for req in &mut stamped {
+            attach_token(req, self.client_id, &mut self.next_seq);
+            batch.extend_from_slice(&binary::encode_request(req));
+        }
+        let write = self.stream()?.write_all(&batch).map_err(ReqError::from);
+        if let Err(e) = write {
+            self.stream = None;
+            return Err(e);
+        }
+        let mut out = Vec::with_capacity(reqs.len());
+        for _ in reqs {
+            out.push(self.read_response()?);
+        }
+        Ok(out)
+    }
+}
+
+impl ClientApi for ReqBinClient {
+    fn call(&mut self, req: &Request) -> Result<Response, ReqError> {
+        let mut req = req.clone();
+        attach_token(&mut req, self.client_id, &mut self.next_seq);
+        let policy = self.policy.clone();
+        call_with_retries(&policy, is_retryable(&req), || {
+            self.send(&req).and_then(|()| self.read_response())
+        })
     }
 }

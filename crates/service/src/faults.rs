@@ -2,8 +2,8 @@
 //!
 //! A [`FaultPlane`] sits between the service and the operating system at
 //! every *fault site* — the syscall edges where real deployments fail:
-//! WAL appends and fsyncs, snapshot writes and renames, and the evented
-//! server's socket reads/writes. Each site keeps its own operation
+//! WAL appends and fsyncs, snapshot writes and renames, and the server's
+//! socket reads/writes. Each site keeps its own operation
 //! counter; whether operation `k` at site `s` faults (and how) is a pure
 //! function of `(seed, s, rule, k)`, so a chaos schedule is replayed
 //! exactly by reconstructing the plane with the same seed and rules — no
@@ -12,7 +12,7 @@
 //!
 //! The plane is configuration, not policy: production code paths consult
 //! it only when one is installed ([`crate::ServiceConfig::faults`],
-//! `req_evented::EventedOptions::faults`), and a disarmed or absent plane
+//! [`crate::EventedOptions::faults`]), and a disarmed or absent plane
 //! costs one branch per site.
 //!
 //! ```
@@ -50,9 +50,9 @@ pub enum FaultSite {
     SnapSync,
     /// The tmp → final snapshot rename.
     SnapRename,
-    /// An evented-server socket read.
+    /// A server socket read.
     SockRead,
-    /// An evented-server socket write.
+    /// A server socket write.
     SockWrite,
 }
 

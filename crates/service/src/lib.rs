@@ -14,10 +14,12 @@
 //!   the latest valid snapshot, replay the WAL tail ([`service`]);
 //! * **[`server`] + [`client`] + [`protocol`]** — the wire API as typed
 //!   [`Request`]/[`Response`] enums with two codecs (one-line text,
-//!   CRC32-framed binary), a `std::net` TCP server (thread-per-connection
-//!   over a small pool) speaking the text codec, and the typed client the
-//!   `req-cli` binary uses. The `req-evented` crate serves the binary
-//!   codec from an event loop on these same cores.
+//!   CRC32-framed binary), one TCP server ([`serve_evented`]: epoll event
+//!   loops over non-blocking sockets, via the vendored `polling` shim)
+//!   that picks each connection's codec from its first four bytes, and
+//!   the typed clients for either codec ([`ReqClient`], [`ReqBinClient`]).
+//!   Every request on either codec goes through [`execute`], so the two
+//!   codecs answer identically; the binary one adds deep pipelining.
 //!
 //! The recovery guarantee is deliberately stronger than "within the
 //! sketch's ε": because snapshots checkpoint each tenant *onto its own
@@ -52,14 +54,12 @@ pub mod snapshot;
 pub mod tempdir;
 pub mod wal;
 
-pub use client::{ClientApi, CreateOptions, ReqClient, RetryPolicy};
+pub use client::{ClientApi, CreateOptions, ReqBinClient, ReqClient, RetryPolicy};
 pub use config::{stable_key_hash, Accuracy, ServiceConfig, TenantConfig};
 pub use faults::{FaultKind, FaultPlane, FaultSite};
-#[allow(deprecated)]
-pub use protocol::Command;
 pub use protocol::{ErrorKind, IdemToken, Request, RequestKind, Response, TailSegment};
 pub use registry::{Registry, Tenant};
-pub use server::{execute, serve, ServerHandle};
+pub use server::{execute, serve_evented, serve_evented_with, EventedHandle, EventedOptions};
 pub use service::{QuantileService, RecoveryReport, Snapshotter, TenantStats};
 pub use snapshot::{AppliedOutcome, DedupClientSnapshot, SnapshotData, TenantSnapshot};
 pub use wal::{WalRecord, WalReplay, WalWriter};

@@ -30,9 +30,11 @@ use super::{ErrorKind, IdemToken, Request, Response, TailSegment};
 use crate::config::TenantConfig;
 use crate::service::TenantStats;
 
-/// Largest accepted frame payload — matches the text transport's
-/// [`crate::server::MAX_LINE_BYTES`] bound so neither protocol lets one
-/// hostile message exhaust memory.
+/// Largest accepted frame payload — matches the text codec's
+/// [`crate::server::MAX_LINE_BYTES`] line bound so neither codec lets one
+/// hostile message exhaust memory. It also keeps a frame's fourth byte
+/// (the length's top byte) at zero, which is how the server tells a
+/// binary connection from a text one.
 pub const MAX_MESSAGE_PAYLOAD: usize = 8 * 1024 * 1024;
 
 fn need(input: &Bytes, n: usize) -> Result<(), ReqError> {

@@ -11,7 +11,7 @@
 //! * [`binary`] — length-prefixed [`req_core::frame`] frames (CRC32 over
 //!   the payload) around a tagged binary payload. Self-describing,
 //!   bit-exact for every `f64` (NaN payloads included), and cheap enough
-//!   to parse that the evented server pipelines thousands of frames per
+//!   to parse that the server pipelines thousands of frames per
 //!   connection without the string tax.
 //!
 //! Both codecs round-trip every request and response (proptested in
@@ -256,12 +256,6 @@ impl Request {
             Request::Events { .. } => RequestKind::Events,
         }
     }
-
-    /// Parse one text request line.
-    #[deprecated(since = "0.1.0", note = "use `protocol::text::decode_request`")]
-    pub fn parse(line: &str) -> Result<Request, ReqError> {
-        text::decode_request(line)
-    }
 }
 
 /// The [`ReqError`] variant an error response carries — round-tripped
@@ -409,43 +403,6 @@ impl Response {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated line-oriented shims (one release): the PR 5 stringly surface,
-// kept as thin wrappers over the typed API + text codec.
-// ---------------------------------------------------------------------------
-
-/// The pre-typed-API name for [`Request`].
-#[deprecated(since = "0.1.0", note = "use `protocol::Request`")]
-pub type Command = Request;
-
-/// Render a stringly handler result as one response line.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `protocol::text::encode_response` with a typed `Response`"
-)]
-pub fn format_response(result: &Result<String, ReqError>) -> String {
-    match result {
-        Ok(payload) if payload.is_empty() => "OK".to_string(),
-        Ok(payload) => format!("OK {payload}"),
-        Err(e) => text::encode_response(&Response::from_error(e)),
-    }
-}
-
-/// Parse a response line back into the stringly handler result.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `protocol::text::decode_response` for a typed `Response`"
-)]
-pub fn parse_response(line: &str) -> Result<String, ReqError> {
-    if let Some(payload) = line.strip_prefix("OK") {
-        return Ok(payload.strip_prefix(' ').unwrap_or(payload).to_string());
-    }
-    match text::decode_error_line(line) {
-        Some((kind, msg)) => Err(kind.into_error(msg)),
-        None => Err(ReqError::Io(format!("unparseable response: {line}"))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,28 +491,6 @@ mod tests {
         ] {
             assert!(text::decode_request(line).is_err(), "`{line}` accepted");
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_stringly_shims_still_roundtrip() {
-        for result in [
-            Ok(String::new()),
-            Ok("42".to_string()),
-            Ok("1 2 3".to_string()),
-            Err(ReqError::InvalidParameter("no such key `x`".into())),
-            Err(ReqError::IncompatibleMerge("different k".into())),
-            Err(ReqError::CorruptBytes("checksum".into())),
-            Err(ReqError::Io("broken pipe".into())),
-        ] {
-            let line = format_response(&result);
-            assert!(!line.contains('\n'));
-            let back = parse_response(&line);
-            assert_eq!(back, result, "through `{line}`");
-        }
-        // The deprecated alias still names the same enum.
-        let cmd: Command = Command::parse("PING").unwrap();
-        assert_eq!(cmd, Request::Ping);
     }
 
     #[test]

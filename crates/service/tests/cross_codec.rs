@@ -1,14 +1,15 @@
 //! Cross-codec equivalence, live: the same request script driven through
-//! the PR 5 text/thread-pool server and through the evented binary
-//! server must produce response-for-response identical results. Both
-//! transports funnel into `req_service::server::execute`, and this test
-//! pins that the codecs on either side of it are lossless.
+//! the text codec and through the binary codec must produce
+//! response-for-response identical results. Both codecs funnel into
+//! `req_service::server::execute`, and these tests pin that the codecs
+//! on either side of it are lossless — on twin services (byte-identical
+//! durable state), and with both clients on one port of one service.
 
-use req_evented::{serve_evented, ReqBinClient};
 use req_service::client::attach_token;
 use req_service::tempdir::TempDir;
 use req_service::{
-    serve, ClientApi, QuantileService, ReqClient, Request, ServiceConfig, TenantConfig,
+    serve_evented, ClientApi, QuantileService, ReqBinClient, ReqClient, Request, ServiceConfig,
+    TenantConfig,
 };
 use std::sync::Arc;
 
@@ -127,7 +128,7 @@ fn text_and_binary_transports_answer_identically() {
     let text_dir = TempDir::new("cross-text").unwrap();
     let text_service =
         Arc::new(QuantileService::open(ServiceConfig::new(text_dir.path())).unwrap());
-    let text_handle = serve(Arc::clone(&text_service), "127.0.0.1:0", 2).unwrap();
+    let text_handle = serve_evented(Arc::clone(&text_service), "127.0.0.1:0", 2).unwrap();
     let mut text_client = ReqClient::connect(text_handle.addr()).unwrap();
 
     let bin_dir = TempDir::new("cross-bin").unwrap();
@@ -156,16 +157,37 @@ fn text_and_binary_transports_answer_identically() {
     bin_handle.shutdown();
 }
 
+/// The script again, on ONE service behind ONE port: every request goes
+/// out on the text connection, then on the binary one, and the two
+/// answers must match. Stamped mutations the second client repeats are
+/// answered from the dedup window with the first outcome, and a
+/// `SNAPSHOT` with no write since the last one reports the same
+/// generation.
+#[test]
+fn both_codecs_on_one_port_answer_identically() {
+    let dir = TempDir::new("cross-one").unwrap();
+    let service = Arc::new(QuantileService::open(ServiceConfig::new(dir.path())).unwrap());
+    let handle = serve_evented(Arc::clone(&service), "127.0.0.1:0", 1).unwrap();
+    let mut text_client = ReqClient::connect(handle.addr()).unwrap();
+    let mut bin_client = ReqBinClient::connect(handle.addr()).unwrap();
+
+    for (i, req) in script().iter().enumerate() {
+        let via_text = text_client.call(req).unwrap();
+        let via_binary = bin_client.call(req).unwrap();
+        assert_eq!(via_text, via_binary, "step {i} ({req:?}) diverged");
+    }
+    handle.shutdown();
+}
+
 /// Err responses never collapse into strings anywhere on either path:
 /// the kind survives to the client as the right `ReqError` variant.
 #[test]
 fn error_kinds_survive_both_transports() {
     let dir = TempDir::new("cross-err").unwrap();
     let service = Arc::new(QuantileService::open(ServiceConfig::new(dir.path())).unwrap());
-    let text_handle = serve(Arc::clone(&service), "127.0.0.1:0", 1).unwrap();
-    let bin_handle = serve_evented(Arc::clone(&service), "127.0.0.1:0", 1).unwrap();
-    let mut tc = ReqClient::connect(text_handle.addr()).unwrap();
-    let mut bc = ReqBinClient::connect(bin_handle.addr()).unwrap();
+    let handle = serve_evented(Arc::clone(&service), "127.0.0.1:0", 1).unwrap();
+    let mut tc = ReqClient::connect(handle.addr()).unwrap();
+    let mut bc = ReqBinClient::connect(handle.addr()).unwrap();
 
     let req = Request::Rank {
         key: "missing".into(),

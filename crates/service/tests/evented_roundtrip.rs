@@ -1,14 +1,22 @@
-//! End-to-end tests for the evented binary server: the full typed command
-//! surface, deep pipelining on one connection, durability across restarts,
-//! idle-connection density far beyond the text server's thread cap, and
-//! fault handling at both protocol layers.
+//! End-to-end tests for the server: the full typed command surface over
+//! the binary codec, deep pipelining on one connection, durability across
+//! restarts, idle-connection density, fault handling at both protocol
+//! layers, and how each connection's codec is chosen from its first four
+//! bytes.
 
 use req_core::ReqError;
-use req_evented::{serve_evented, EventedHandle, ReqBinClient};
+use req_service::protocol::{binary, text};
+use req_service::server::{MAX_LINE_BYTES, MAX_WRITE_BACKLOG};
 use req_service::tempdir::TempDir;
-use req_service::{ClientApi, CreateOptions, QuantileService, Request, Response, ServiceConfig};
-use std::io::{Read, Write};
+use req_service::{
+    serve_evented, serve_evented_with, ClientApi, CreateOptions, ErrorKind, EventedHandle,
+    EventedOptions, FaultKind, FaultPlane, FaultSite, QuantileService, ReqBinClient, ReqClient,
+    Request, RequestKind, Response, RetryPolicy, ServiceConfig,
+};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn start(dir: &std::path::Path, loops: usize) -> (Arc<QuantileService>, EventedHandle) {
     let service = Arc::new(QuantileService::open(ServiceConfig::new(dir)).unwrap());
@@ -153,7 +161,7 @@ fn corrupt_frames_get_a_typed_error_then_eof() {
     let (_service, handle) = start(dir.path(), 1);
 
     // Frame with a deliberately wrong CRC: length says 4, CRC is garbage.
-    let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
     let mut bad = Vec::new();
     bad.extend_from_slice(&4u32.to_le_bytes());
     bad.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
@@ -161,11 +169,11 @@ fn corrupt_frames_get_a_typed_error_then_eof() {
     raw.write_all(&bad).unwrap();
 
     // The server answers with one typed `corrupt` error frame…
-    let payload = req_service::protocol::binary::read_frame_blocking(&mut raw).unwrap();
-    let resp = req_service::protocol::binary::decode_response(payload).unwrap();
+    let payload = binary::read_frame_blocking(&mut raw).unwrap();
+    let resp = binary::decode_response(payload).unwrap();
     match resp {
         Response::Err { kind, .. } => {
-            assert_eq!(kind, req_service::ErrorKind::Corrupt)
+            assert_eq!(kind, ErrorKind::Corrupt)
         }
         other => panic!("expected corrupt error, got {other:?}"),
     }
@@ -207,19 +215,21 @@ fn state_survives_a_server_restart() {
     assert_eq!(c.stats("t").unwrap().n, 8_000);
 }
 
-/// The density claim: the text server is structurally capped at 64
-/// concurrent connections (one thread each); the evented server holds an
-/// order of magnitude more — on ONE loop thread — and every single one
-/// still answers.
+/// The density claim: ONE loop thread holds 700 idle connections, half
+/// of them text and half binary, and every single one still answers.
 #[test]
 fn holds_640_plus_idle_connections_on_one_thread() {
     let dir = TempDir::new("evented").unwrap();
     let (_service, handle) = start(dir.path(), 1);
 
-    const CONNS: usize = 700; // >10x the text server's 64-thread cap
-    let mut clients = Vec::with_capacity(CONNS);
-    for _ in 0..CONNS {
-        clients.push(ReqBinClient::connect(handle.addr()).unwrap());
+    const CONNS: usize = 700;
+    let mut clients: Vec<Box<dyn ClientApi>> = Vec::with_capacity(CONNS);
+    for i in 0..CONNS {
+        clients.push(if i % 2 == 0 {
+            Box::new(ReqBinClient::connect(handle.addr()).unwrap())
+        } else {
+            Box::new(ReqClient::connect(handle.addr()).unwrap())
+        });
     }
     // Touch each once so the server has registered them all.
     for c in clients.iter_mut() {
@@ -267,10 +277,6 @@ fn quit_closes_only_that_connection() {
 /// being served.
 #[test]
 fn never_draining_reader_is_evicted_after_the_stall_timeout() {
-    use req_evented::server::MAX_WRITE_BACKLOG;
-    use req_evented::{serve_evented_with, EventedOptions};
-    use std::time::{Duration, Instant};
-
     let dir = TempDir::new("evented-stall").unwrap();
     let service = Arc::new(QuantileService::open(ServiceConfig::new(dir.path())).unwrap());
     let handle = serve_evented_with(
@@ -295,11 +301,11 @@ fn never_draining_reader_is_evicted_after_the_stall_timeout() {
     // fill() hits `WouldBlock` and re-arms between bursts — that re-arm
     // is where the >16 MiB backlog parks the connection's read interest,
     // after which the kernel buffers jam and our writes time out.
-    let frame = req_service::protocol::binary::encode_request(&Request::Cdf {
+    let frame = binary::encode_request(&Request::Cdf {
         key: "t".into(),
         points: vec![2.0; 65_536],
     });
-    let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
     raw.set_write_timeout(Some(Duration::from_secs(2))).unwrap();
     let mut written = 0usize;
     let jam_bound = 8 * MAX_WRITE_BACKLOG;
@@ -341,10 +347,6 @@ fn never_draining_reader_is_evicted_after_the_stall_timeout() {
 /// ingest.
 #[test]
 fn injected_socket_faults_never_duplicate_or_lose_acked_batches() {
-    use req_evented::{serve_evented_with, EventedOptions};
-    use req_service::{FaultKind, FaultPlane, FaultSite, RetryPolicy};
-    use std::time::Duration;
-
     for seed in [1u64, 2, 3] {
         let dir = TempDir::new("evented-chaos").unwrap();
         let plane = Arc::new(
@@ -420,4 +422,201 @@ fn concurrent_binary_clients_share_one_tenant() {
 
     let (service, _handle) = start(dir.path(), 1);
     assert_eq!(service.stats("shared").unwrap().n, 20_000);
+}
+
+/// Write `bytes` on a fresh raw connection and return it, for codec
+/// choice cases that need byte-level control of what arrives first.
+fn raw_send(handle: &EventedHandle, bytes: &[u8]) -> TcpStream {
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    raw.set_nodelay(true).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.write_all(bytes).unwrap();
+    raw
+}
+
+fn read_line(raw: &mut BufReader<TcpStream>) -> String {
+    let mut line = String::new();
+    raw.read_line(&mut line).unwrap();
+    assert!(line.ends_with('\n'), "torn reply `{line}`");
+    line.trim_end().to_string()
+}
+
+/// A frame whose payload is 65–90 bytes starts with an ASCII capital;
+/// the server must still serve it as binary, because the choice rests on
+/// byte 3 (the length's top byte, always zero), never on byte 0.
+#[test]
+fn binary_frame_starting_with_a_capital_is_served_as_binary() {
+    let dir = TempDir::new("codec").unwrap();
+    let (service, handle) = start(dir.path(), 1);
+    service
+        .create("k", req_service::TenantConfig::for_key("k"))
+        .unwrap();
+    let (values, frame) = (1..64)
+        .map(|n| {
+            let values: Vec<f64> = (0..n).map(f64::from).collect();
+            let frame = binary::encode_request(&Request::AddBatch {
+                key: "k".into(),
+                values: values.clone(),
+                token: None,
+            });
+            (values, frame)
+        })
+        .find(|(_, f)| f[0].is_ascii_uppercase())
+        .expect("some batch size puts a capital in byte 0");
+    assert!((65..=90).contains(&(frame.len() - 8)));
+
+    let mut raw = raw_send(&handle, &frame);
+    let resp = binary::decode_response(binary::read_frame_blocking(&mut raw).unwrap()).unwrap();
+    assert_eq!(resp, Response::AddedBatch(values.len() as u64));
+    assert_eq!(service.stats("k").unwrap().n, values.len() as u64);
+}
+
+#[test]
+fn blank_lines_before_the_first_verb_are_skipped() {
+    let dir = TempDir::new("codec").unwrap();
+    let (_service, handle) = start(dir.path(), 1);
+    let mut raw = BufReader::new(raw_send(&handle, b"\n\r\nPING\n"));
+    assert_eq!(read_line(&mut raw), "OK pong");
+}
+
+/// One to three bytes, a pause, then the rest: the server waits for the
+/// fourth byte before it picks a codec, in either codec.
+#[test]
+fn a_request_split_inside_its_first_four_bytes_completes_in_either_codec() {
+    let dir = TempDir::new("codec").unwrap();
+    let (_service, handle) = start(dir.path(), 1);
+    let frame = binary::encode_request(&Request::Ping);
+    for split in 1..=3 {
+        let mut raw = raw_send(&handle, &b"PING\n"[..split]);
+        std::thread::sleep(Duration::from_millis(30));
+        raw.write_all(&b"PING\n"[split..]).unwrap();
+        assert_eq!(
+            read_line(&mut BufReader::new(raw)),
+            "OK pong",
+            "split {split}"
+        );
+
+        let mut raw = raw_send(&handle, &frame[..split]);
+        std::thread::sleep(Duration::from_millis(30));
+        raw.write_all(&frame[split..]).unwrap();
+        let resp = binary::decode_response(binary::read_frame_blocking(&mut raw).unwrap()).unwrap();
+        assert_eq!(resp, Response::Pong, "split {split}");
+    }
+}
+
+#[test]
+fn a_text_line_written_one_byte_at_a_time_is_served() {
+    let dir = TempDir::new("codec").unwrap();
+    let (_service, handle) = start(dir.path(), 1);
+    let mut raw = raw_send(&handle, b"");
+    for &b in b"QUANTILE nope 0.5\n" {
+        raw.write_all(&[b]).unwrap();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let reply = read_line(&mut BufReader::new(raw));
+    assert!(
+        reply.starts_with("ERR invalid") && reply.contains("nope"),
+        "{reply}"
+    );
+}
+
+/// 512 text lines in one send, answered in request order.
+#[test]
+fn five_hundred_twelve_pipelined_text_lines_answer_in_order() {
+    let dir = TempDir::new("codec").unwrap();
+    let (_service, handle) = start(dir.path(), 1);
+    let mut c = ReqClient::connect(handle.addr()).unwrap();
+    c.create("p", &CreateOptions::default()).unwrap();
+
+    let mut batch = String::new();
+    for i in 0..255 {
+        batch.push_str(&format!("ADD p {i}\n"));
+    }
+    batch.push_str("STATS p\n");
+    for i in 0..255 {
+        batch.push_str(&format!("RANK p {i}\n"));
+    }
+    batch.push_str("PING\n");
+    let mut raw = BufReader::new(raw_send(&handle, batch.as_bytes()));
+    let mut lines = (0..512).map(|_| read_line(&mut raw));
+
+    for _ in 0..255 {
+        assert_eq!(lines.next().unwrap(), "OK");
+    }
+    // The mid-stream STATS sees exactly the 255 adds before it.
+    match text::decode_response(&lines.next().unwrap(), RequestKind::Stats).unwrap() {
+        Response::Stats(s) => assert_eq!(s.n, 255),
+        other => panic!("expected stats, got {other:?}"),
+    }
+    let mut prev = 0u64;
+    for i in 0..255u64 {
+        let line = lines.next().unwrap();
+        let Response::Rank(r) = text::decode_response(&line, RequestKind::Rank).unwrap() else {
+            panic!("expected rank, got `{line}`");
+        };
+        assert!(r.abs_diff(i + 1) <= 2 + (i + 1) / 5, "rank({i}) = {r}");
+        assert!(r >= prev, "rank sequence regressed at {i}: {r} < {prev}");
+        prev = r;
+    }
+    assert_eq!(lines.next().unwrap(), "OK pong");
+}
+
+/// A length prefix just over the payload cap still has a zero fourth
+/// byte, so it is read as binary: one typed `corrupt` error, then EOF.
+#[test]
+fn an_oversized_length_prefix_gets_corrupt_then_eof() {
+    let dir = TempDir::new("codec").unwrap();
+    let (_service, handle) = start(dir.path(), 1);
+    let mut bad = ((binary::MAX_MESSAGE_PAYLOAD + 1) as u32)
+        .to_le_bytes()
+        .to_vec();
+    assert_eq!(bad[3], 0);
+    bad.extend_from_slice(&[0u8; 4]);
+    let mut raw = raw_send(&handle, &bad);
+    let resp = binary::decode_response(binary::read_frame_blocking(&mut raw).unwrap()).unwrap();
+    assert!(
+        matches!(
+            resp,
+            Response::Err {
+                kind: ErrorKind::Corrupt,
+                ..
+            }
+        ),
+        "{resp:?}"
+    );
+    let mut tail = [0u8; 16];
+    assert_eq!(raw.read(&mut tail).unwrap(), 0, "expected EOF after fault");
+}
+
+/// Text faults: invalid UTF-8 is a request fault (typed error, the
+/// connection lives on); `QUIT` answers `BYE` and closes; an overlong
+/// line gets one error line and a close.
+#[test]
+fn text_faults_answer_with_their_kind() {
+    let dir = TempDir::new("codec").unwrap();
+    let (_service, handle) = start(dir.path(), 1);
+    let mut raw = BufReader::new(raw_send(&handle, b"PING \xff\xfe\nPING\nQUIT\n"));
+    assert!(read_line(&mut raw).starts_with("ERR invalid"));
+    assert_eq!(read_line(&mut raw), "OK pong");
+    assert_eq!(read_line(&mut raw), "OK bye");
+    let mut tail = String::new();
+    assert_eq!(
+        raw.read_line(&mut tail).unwrap(),
+        0,
+        "expected EOF after QUIT"
+    );
+
+    // Exactly MAX_LINE_BYTES with no newline: the server has read every
+    // byte when it gives up, so its close carries no reset that could
+    // swallow the error line.
+    let mut raw = raw_send(&handle, b"ADDB k");
+    let rest = vec![b' '; MAX_LINE_BYTES as usize - 6];
+    raw.write_all(&rest).unwrap();
+    let mut raw = BufReader::new(raw);
+    let reply = read_line(&mut raw);
+    assert!(
+        reply.starts_with("ERR invalid") && reply.contains("exceeds"),
+        "{reply}"
+    );
+    assert_eq!(raw.read_line(&mut tail).unwrap(), 0, "expected EOF");
 }

@@ -1,18 +1,45 @@
-//! End-to-end TCP integration: a live server on an ephemeral port, typed
-//! clients round-tripping every protocol command, durability across a
-//! server restart, and concurrent clients hammering one tenant.
+//! End-to-end TCP integration over the text codec: a live server on an
+//! ephemeral port, typed clients round-tripping every protocol command,
+//! durability across a server restart, and concurrent clients hammering
+//! one tenant.
 
 use req_service::tempdir::TempDir;
-use req_service::{serve, ClientApi, CreateOptions, QuantileService, ReqClient, ServiceConfig};
+use req_service::{
+    serve_evented, ClientApi, CreateOptions, EventedHandle, QuantileService, ReqClient,
+    ServiceConfig,
+};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
-fn start(
-    dir: &std::path::Path,
-    threads: usize,
-) -> (Arc<QuantileService>, req_service::ServerHandle) {
+fn start(dir: &std::path::Path, loops: usize) -> (Arc<QuantileService>, EventedHandle) {
     let service = Arc::new(QuantileService::open(ServiceConfig::new(dir)).unwrap());
-    let handle = serve(Arc::clone(&service), "127.0.0.1:0", threads).unwrap();
+    let handle = serve_evented(Arc::clone(&service), "127.0.0.1:0", loops).unwrap();
     (service, handle)
+}
+
+/// A raw text connection, as `nc` would open it.
+struct RawText {
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl RawText {
+    fn connect(addr: SocketAddr) -> RawText {
+        let writer = TcpStream::connect(addr).unwrap();
+        let reader = BufReader::new(writer.try_clone().unwrap());
+        RawText { writer, reader }
+    }
+
+    /// Send `line` plus `\n`, return the reply line without its `\n`.
+    fn send(&mut self, line: &str) -> String {
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .unwrap();
+        let mut reply = String::new();
+        self.reader.read_line(&mut reply).unwrap();
+        reply.trim_end().to_string()
+    }
 }
 
 #[test]
@@ -65,7 +92,6 @@ fn full_command_surface_roundtrips() {
 }
 
 #[test]
-#[allow(deprecated)] // raw pass-through still exercises the shim
 fn errors_cross_the_wire_with_their_kind() {
     let dir = TempDir::new("tcp").unwrap();
     let (_service, handle) = start(dir.path(), 1);
@@ -83,10 +109,12 @@ fn errors_cross_the_wire_with_their_kind() {
         c.create("t", &CreateOptions::default()),
         Err(req_core::ReqError::InvalidParameter(_))
     ));
-    // Malformed command via raw pass-through.
-    assert!(c.roundtrip("WHAT even").is_err());
-    assert!(c.roundtrip("ADDB t").is_err());
-    // The connection stays usable after errors.
+    // Malformed commands on a raw connection.
+    let mut raw = RawText::connect(handle.addr());
+    assert!(raw.send("WHAT even").starts_with("ERR invalid"));
+    assert!(raw.send("ADDB t").starts_with("ERR invalid"));
+    // Both connections stay usable after errors.
+    assert_eq!(raw.send("PING"), "OK pong");
     c.ping().unwrap();
 }
 
@@ -152,8 +180,6 @@ fn concurrent_clients_share_one_tenant() {
 
 #[test]
 fn oversized_lines_are_rejected_not_fatal() {
-    use std::io::{BufRead, BufReader, Write};
-
     let dir = TempDir::new("tcp").unwrap();
     let (_service, handle) = start(dir.path(), 2);
     let mut c = ReqClient::connect(handle.addr()).unwrap();
@@ -164,12 +190,12 @@ fn oversized_lines_are_rejected_not_fatal() {
     assert_eq!(c.stats("t").unwrap().n, 100_000);
 
     // A line beyond MAX_LINE_BYTES must be rejected and the connection
-    // closed — without wedging the worker or the server. The server
+    // closed — without wedging the loop or the server. The server
     // closes with our unread tail still in flight, so the kernel may RST
     // the socket before the ERR line is deliverable: both a clean ERR
     // and a reset are acceptable outcomes for the misbehaving client;
     // the hard invariant is that the server survives.
-    let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
     let monster = vec![b'x'; req_service::server::MAX_LINE_BYTES as usize + 64];
     let _ = raw.write_all(&monster);
     let mut reply = String::new();
