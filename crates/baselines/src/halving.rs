@@ -29,7 +29,7 @@ pub struct HalvingSketch<T> {
     rng: SmallRng,
 }
 
-impl<T: Ord + Clone> HalvingSketch<T> {
+impl<T: Ord + Copy> HalvingSketch<T> {
     /// New sketch whose per-level buffer holds `2·half` items and compacts
     /// the top `half` when full. `half` must be even and ≥ 4.
     pub fn new(half: u32, accuracy: RankAccuracy, seed: u64) -> Self {
@@ -115,7 +115,7 @@ impl<T: Ord + Clone> HalvingSketch<T> {
     }
 }
 
-impl<T: Ord + Clone> QuantileSketch<T> for HalvingSketch<T> {
+impl<T: Ord + Copy> QuantileSketch<T> for HalvingSketch<T> {
     fn update(&mut self, item: T) {
         self.n += 1;
         self.ensure_level(0);

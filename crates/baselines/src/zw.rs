@@ -21,7 +21,7 @@ pub struct DeterministicRelativeSketch<T> {
     inner: ReqSketch<T>,
 }
 
-impl<T: Ord + Clone> DeterministicRelativeSketch<T> {
+impl<T: Ord + Copy> DeterministicRelativeSketch<T> {
     /// New sketch with relative-error target `eps` for streams of length at
     /// most `n_max`.
     pub fn new(eps: f64, n_max: u64, accuracy: RankAccuracy, seed: u64) -> Result<Self, ReqError> {
@@ -37,7 +37,7 @@ impl<T: Ord + Clone> DeterministicRelativeSketch<T> {
     }
 }
 
-impl<T: Ord + Clone> QuantileSketch<T> for DeterministicRelativeSketch<T> {
+impl<T: Ord + Copy> QuantileSketch<T> for DeterministicRelativeSketch<T> {
     fn update(&mut self, item: T) {
         self.inner.update(item);
     }

@@ -36,15 +36,14 @@
 //! The hot inner loops are branchless `unsafe` kernels over raw element
 //! pointers: a backward in-place run merge (`merge_hi` — conditional-move
 //! select, one element copy, no per-element `Vec` bookkeeping), a strided
-//! every-other compaction emitter, and prefix append/remove primitives.
-//! They are only ever invoked for types with no drop glue
-//! (`!std::mem::needs_drop::<T>()`, a const-folded gate in the compactor):
-//! for such types every slot position stays bitwise-initialized through
-//! any panic, so the kernels cannot create double-drops or expose
-//! uninitialized memory. Types *with* drop glue (e.g. `String`) take the
-//! proven `Vec`-based lane via [`LevelArena::take_level`] /
-//! [`LevelArena::restore_level`], which moves a level out into an owned
-//! `Vec<T>`, runs the panic-safe safe-code path, and moves it back.
+//! every-other compaction emitter, and a bulk slice append. Every method
+//! that writes or moves items is bounded on `T: Copy`: a bit-copy of a
+//! `Copy` item is a valid item, so every slot position stays
+//! bitwise-initialized through any panic of a comparator, and dropping
+//! the arena never has an item to drop. The kernels therefore cannot
+//! create double-drops or expose uninitialized memory. The accessors,
+//! [`Default`] and [`Clone`] stay unbounded so that the sketch's derived
+//! `Clone` and its `SpaceUsage` impl need no extra bounds.
 //!
 //! This module is the one place in `req-core` allowed to use `unsafe`
 //! (crate-level `#![deny(unsafe_code)]` with a scoped allow on this
@@ -114,15 +113,6 @@ impl<T> LevelArena<T> {
             run_len: 0,
         });
         self.slots.len() - 1
-    }
-
-    /// Append a new level slot seeded with `items` (declaring the first
-    /// `run_len` sorted), returning its index. Used by deserialization.
-    pub fn add_level_from_vec(&mut self, items: Vec<T>, run_len: usize) -> usize {
-        let h = self.add_level(items.len());
-        let n = items.len();
-        self.restore_level(h, items, run_len.min(n));
-        h
     }
 
     /// Items currently stored in slot `h`.
@@ -228,6 +218,19 @@ impl<T> LevelArena<T> {
         self.items_moved_rebalance += moved;
         self.slots[h].cap = new_cap;
     }
+}
+
+/// Item-writing methods and the branchless kernels: bit-copies of `Copy`
+/// items, so no position ever needs a drop.
+impl<T: Copy> LevelArena<T> {
+    /// Append a new level slot seeded with `items` (declaring the first
+    /// `run_len` sorted), returning its index. Used by deserialization.
+    pub fn add_level_from_vec(&mut self, items: Vec<T>, run_len: usize) -> usize {
+        let h = self.add_level(items.len());
+        self.extend_from_slice(h, &items);
+        self.set_run_len(h, run_len);
+        h
+    }
 
     /// Append one item to slot `h`'s unsorted tail.
     #[inline]
@@ -254,129 +257,38 @@ impl<T> LevelArena<T> {
         self.slots[h].len = s.len + 1;
     }
 
-    /// Drop (or forget, for no-drop `T`) items beyond `new_len` in slot `h`.
-    pub fn truncate(&mut self, h: usize, new_len: usize) {
-        let s = self.slots[h];
-        if new_len >= s.len {
-            return;
-        }
-        if std::mem::needs_drop::<T>() {
-            // SAFETY: [new_len, len) are initialized; after this call the
-            // slot's len excludes them, so they are never touched again.
-            unsafe {
-                let p = self.base_mut(s.off).add(new_len);
-                ptr::drop_in_place(ptr::slice_from_raw_parts_mut(p, s.len - new_len));
-            }
-        }
-        let s = &mut self.slots[h];
-        s.len = new_len;
-        s.run_len = s.run_len.min(new_len);
-    }
-
-    /// Move slot `h`'s items out into an owned `Vec`, returning
-    /// `(items, run_len)` and leaving the slot empty (capacity kept). The
-    /// entry point of the `Vec`-based lane for types with drop glue.
+    /// Copy slot `h`'s items out into an owned `Vec`, returning
+    /// `(items, run_len)` and leaving the slot empty (capacity kept). How a
+    /// merge moves another sketch's level into this one.
     pub fn take_level(&mut self, h: usize) -> (Vec<T>, usize) {
-        let s = self.slots[h];
-        let mut v: Vec<T> = Vec::with_capacity(s.len);
-        // SAFETY: moves ownership of the initialized prefix into `v`; the
-        // slot's len is zeroed in the same breath, so exactly one owner.
-        unsafe {
-            ptr::copy_nonoverlapping(self.base(s.off), v.as_mut_ptr(), s.len);
-            v.set_len(s.len);
-        }
-        let run = s.run_len;
+        let items = self.items(h).to_vec();
         let s = &mut self.slots[h];
+        let run = s.run_len;
         s.len = 0;
         s.run_len = 0;
-        (v, run)
-    }
-
-    /// Move an owned `Vec` back into (empty) slot `h`, declaring `run_len`
-    /// of it sorted. The return path of the `Vec`-based lane.
-    pub fn restore_level(&mut self, h: usize, items: Vec<T>, run_len: usize) {
-        debug_assert_eq!(self.slots[h].len, 0, "restore into a non-empty slot");
-        let n = items.len();
-        self.reserve(h, n);
-        let s = self.slots[h];
-        // SAFETY: ownership moves back from the Vec (whose len is zeroed
-        // before it drops, so it frees only its allocation).
-        unsafe {
-            let mut items = items;
-            ptr::copy_nonoverlapping(items.as_ptr(), self.base_mut(s.off), n);
-            items.set_len(0);
-        }
-        let s = &mut self.slots[h];
-        s.len = n;
-        s.run_len = run_len.min(n);
+        (items, run)
     }
 
     /// Move the first `count` items of `incoming` onto the end of slot
     /// `h`'s tail (the multiset equivalent of pushing them one by one).
     /// Does not touch `run_len`.
     pub fn append_vec_prefix(&mut self, h: usize, incoming: &mut Vec<T>, count: usize) {
-        debug_assert!(count <= incoming.len());
-        if count == 0 {
-            return;
-        }
-        if std::mem::needs_drop::<T>() {
-            for x in incoming.drain(..count) {
-                self.push(h, x);
-            }
-            return;
-        }
-        let len = self.slots[h].len;
-        self.reserve(h, len + count);
-        let s = self.slots[h];
-        // SAFETY: no-drop T — bitwise moves transfer ownership; `incoming`
-        // forgets its prefix by shifting down and shrinking its len.
-        unsafe {
-            ptr::copy_nonoverlapping(incoming.as_ptr(), self.base_mut(s.off).add(len), count);
-            let rem = incoming.len() - count;
-            ptr::copy(incoming.as_ptr().add(count), incoming.as_mut_ptr(), rem);
-            incoming.set_len(rem);
-        }
-        self.slots[h].len += count;
+        self.extend_from_slice(h, &incoming[..count]);
+        incoming.drain(..count);
     }
-}
 
-impl<T: Clone> LevelArena<T> {
-    /// Clone-append a whole slice to slot `h`'s unsorted tail — the bulk
-    /// ingest primitive behind `update_batch`.
+    /// Append a whole slice to slot `h`'s unsorted tail — the bulk ingest
+    /// primitive behind `update_batch`.
     pub fn extend_from_slice(&mut self, h: usize, xs: &[T]) {
         let len = self.slots[h].len;
         self.reserve(h, len + xs.len());
         let s = self.slots[h];
-        let mut p = self.base_mut(s.off + s.len);
-        if std::mem::needs_drop::<T>() {
-            for x in xs {
-                // SAFETY: in-bounds (reserved above); len is bumped per item
-                // so a panicking clone leaves only initialized items owned.
-                unsafe {
-                    ptr::write(p, x.clone());
-                    p = p.add(1);
-                }
-                self.slots[h].len += 1;
-            }
-        } else {
-            // No drop glue: a panicking clone can only leak, so the length
-            // is written once and the clone loop compiles down to a memcpy
-            // for plain `Copy` items.
-            for x in xs {
-                // SAFETY: in-bounds (reserved above).
-                unsafe {
-                    ptr::write(p, x.clone());
-                    p = p.add(1);
-                }
-            }
-            self.slots[h].len = len + xs.len();
-        }
+        // SAFETY: in bounds (reserved above); `xs` cannot alias the arena,
+        // which is borrowed mutably.
+        unsafe { ptr::copy_nonoverlapping(xs.as_ptr(), self.base_mut(s.off + len), xs.len()) };
+        self.slots[h].len = len + xs.len();
     }
-}
 
-/// Branchless kernels — only reachable for `T` without drop glue (the
-/// compactor gates on `needs_drop`, which const-folds per monomorphization).
-impl<T> LevelArena<T> {
     /// Merge the two adjacent sorted regions `items[lo..mid]` and
     /// `items[mid..len]` of slot `h` in place, leaving `items[lo..len]`
     /// sorted. Backward merge: the right region is staged in the shared
@@ -389,7 +301,6 @@ impl<T> LevelArena<T> {
         mid: usize,
         mut cmp: impl FnMut(&T, &T) -> Ordering,
     ) {
-        assert!(!std::mem::needs_drop::<T>());
         let s = self.slots[h];
         debug_assert!(lo <= mid && mid <= s.len);
         let right = s.len - mid;
@@ -398,8 +309,8 @@ impl<T> LevelArena<T> {
         }
         self.scratch.clear();
         self.scratch.reserve(right);
-        // SAFETY: no-drop T. The right region is bit-copied to scratch (the
-        // sole live copy for merge purposes), then the kernel rewrites
+        // SAFETY: the right region is bit-copied to scratch (the sole live
+        // copy for merge purposes), then the kernel rewrites
         // [lo, len) from two sorted sides; every position stays
         // bitwise-initialized throughout, even mid-panic of `cmp`.
         unsafe {
@@ -427,13 +338,11 @@ impl<T> LevelArena<T> {
         count: usize,
         mut cmp: impl FnMut(&T, &T) -> Ordering,
     ) {
-        assert!(!std::mem::needs_drop::<T>());
         let len = self.slots[h].len;
         debug_assert!(lo <= len && count <= incoming.len());
         self.reserve(h, len + count);
         let s = self.slots[h];
-        // SAFETY: as merge_regions; incoming's merged prefix is forgotten by
-        // shifting its remainder down (no-drop T).
+        // SAFETY: as merge_regions; `incoming` is a separate allocation.
         unsafe {
             merge_backward(
                 self.base_mut(s.off).add(lo),
@@ -442,10 +351,8 @@ impl<T> LevelArena<T> {
                 count,
                 &mut cmp,
             );
-            let rem = incoming.len() - count;
-            ptr::copy(incoming.as_ptr().add(count), incoming.as_mut_ptr(), rem);
-            incoming.set_len(rem);
         }
+        incoming.drain(..count);
         self.slots[h].len += count;
     }
 
@@ -479,19 +386,17 @@ impl<T> LevelArena<T> {
         out: &mut Vec<T>,
         mut cmp: impl FnMut(&T, &T) -> Ordering,
     ) -> (usize, usize, usize, usize) {
-        assert!(!std::mem::needs_drop::<T>());
         let s = self.slots[h];
         let len = s.len;
         debug_assert!(run + warm <= len && c <= len && offset <= 1);
         let tail = len - run - warm;
         let (mut ri, mut wi, mut ti) = (run, warm, tail);
         let emitted = c.saturating_sub(offset).div_ceil(2);
-        // SAFETY: no-drop T throughout — every copy is a bit-copy whose
-        // source positions are forgotten by the length/region cuts below, so
-        // each item has exactly one live owner at the end. The selection
-        // loops only read initialized positions (each cursor stays within
-        // its region); emission writes `out[len..len+emitted]` within the
-        // reserved capacity (position parity maps each emitted slot
+        // SAFETY: every copy is a bit-copy of a `Copy` item whose source
+        // positions are forgotten by the length/region cuts below. The
+        // selection loops only read initialized positions (each cursor stays
+        // within its region); emission writes `out[len..len+emitted]` within
+        // the reserved capacity (position parity maps each emitted slot
         // uniquely).
         unsafe {
             let base = self.base_mut(s.off);
@@ -608,15 +513,13 @@ impl<T> LevelArena<T> {
         offset: usize,
         out: &mut Vec<T>,
     ) -> usize {
-        assert!(!std::mem::needs_drop::<T>());
         let s = self.slots[h];
         debug_assert!(protect <= s.len && offset <= 1);
         let m = s.len - protect;
         let emitted = m.saturating_sub(offset).div_ceil(2);
         out.reserve(emitted);
-        // SAFETY: strided bit-copies move ownership of the emitted items to
-        // `out`; the whole region is forgotten by the len cut below (no-drop
-        // T, so the skipped half needs no drops).
+        // SAFETY: strided bit-copies of `Copy` items into `out`'s reserved
+        // capacity; the whole region is forgotten by the len cut below.
         unsafe {
             let src = self.base(s.off).add(protect + offset);
             let dst = out.as_mut_ptr().add(out.len());
@@ -644,9 +547,8 @@ impl<T> LevelArena<T> {
 ///
 /// `a` must point to `a_len + b_len` contiguous writable positions of which
 /// the first `a_len` hold sorted items; `b`/`b_len` must be a disjoint
-/// sorted slice; `T` must have no drop glue (positions are overwritten
-/// without reading their old values).
-unsafe fn merge_backward<T>(
+/// sorted slice.
+unsafe fn merge_backward<T: Copy>(
     a: *mut T,
     a_len: usize,
     b: *const T,
@@ -669,7 +571,7 @@ unsafe fn merge_backward<T>(
 /// # Safety
 ///
 /// As [`merge_backward`].
-unsafe fn merge_hi<T>(
+unsafe fn merge_hi<T: Copy>(
     a: *mut T,
     a_len: usize,
     b: *const T,
@@ -712,7 +614,7 @@ unsafe fn merge_hi<T>(
 /// # Safety
 ///
 /// As [`merge_backward`].
-unsafe fn merge_hi_gallop<T>(
+unsafe fn merge_hi_gallop<T: Copy>(
     a: *mut T,
     a_len: usize,
     b: *const T,
@@ -757,44 +659,18 @@ unsafe fn merge_hi_gallop<T>(
 
 impl<T: Clone> Clone for LevelArena<T> {
     fn clone(&self) -> Self {
-        let mut out = LevelArena {
-            data: Vec::new(),
-            slots: Vec::new(),
+        let mut data = Vec::with_capacity(self.data.len());
+        data.resize_with(self.data.len(), MaybeUninit::uninit);
+        for (h, s) in self.slots.iter().enumerate() {
+            for (i, x) in self.items(h).iter().enumerate() {
+                data[s.off + i] = MaybeUninit::new(x.clone());
+            }
+        }
+        LevelArena {
+            data,
+            slots: self.slots.clone(),
             scratch: Vec::new(),
             items_moved_rebalance: self.items_moved_rebalance,
-        };
-        out.data.resize_with(self.data.len(), MaybeUninit::uninit);
-        for (h, s) in self.slots.iter().enumerate() {
-            out.slots.push(Slot {
-                off: s.off,
-                len: 0,
-                cap: s.cap,
-                run_len: 0,
-            });
-            for (i, x) in self.items(h).iter().enumerate() {
-                // Plain MaybeUninit assignment (no drop of the old value);
-                // len is bumped per item so a panicking clone drops cleanly.
-                out.data[s.off + i] = MaybeUninit::new(x.clone());
-                out.slots[h].len = i + 1;
-            }
-            out.slots[h].run_len = s.run_len;
-        }
-        out
-    }
-}
-
-impl<T> Drop for LevelArena<T> {
-    fn drop(&mut self) {
-        if std::mem::needs_drop::<T>() {
-            for h in 0..self.slots.len() {
-                let s = self.slots[h];
-                // SAFETY: each slot's initialized prefix is dropped exactly
-                // once; ranges are disjoint by the slot invariant.
-                unsafe {
-                    let p = self.base_mut(s.off);
-                    ptr::drop_in_place(ptr::slice_from_raw_parts_mut(p, s.len));
-                }
-            }
         }
     }
 }
@@ -843,36 +719,36 @@ mod tests {
     }
 
     #[test]
-    fn take_restore_roundtrip_with_drop_type() {
-        let mut a = LevelArena::<String>::new();
+    fn take_level_empties_slot_and_reseeds() {
+        let mut a = LevelArena::<u64>::new();
         let h = a.add_level(4);
         for i in 0..6 {
-            a.push(h, format!("s{i}"));
+            a.push(h, i);
         }
         a.set_run_len(h, 3);
         let (v, run) = a.take_level(h);
-        assert_eq!(run, 3);
-        assert_eq!(v.len(), 6);
-        assert_eq!(a.len(h), 0);
-        a.restore_level(h, v, 6);
-        assert_eq!(a.items(h)[5], "s5");
-        assert_eq!(a.run_len(h), 6);
-        a.truncate(h, 2);
-        assert_eq!(a.items(h), &["s0", "s1"]);
+        assert_eq!((v, run), ((0..6).collect(), 3));
+        assert_eq!((a.len(h), a.run_len(h)), (0, 0));
+        assert!(a.slot_capacity(h) >= 6, "capacity kept");
+        let h2 = a.add_level_from_vec(vec![7, 8, 9], 99);
+        assert_eq!(a.items(h2), &[7, 8, 9]);
+        assert_eq!(a.run_len(h2), 3, "run_len clamped to len");
     }
 
     #[test]
     fn clone_preserves_items_and_drops_cleanly() {
-        let mut a = LevelArena::<String>::new();
+        let mut a = LevelArena::<u64>::new();
         let h0 = a.add_level(2);
         let h1 = a.add_level(2);
-        a.push(h0, "a".into());
-        a.push(h0, "b".into());
-        a.push(h1, "z".into());
+        a.push(h0, 1);
+        a.push(h0, 2);
+        a.push(h1, 26);
+        a.set_run_len(h0, 2);
         let b = a.clone();
         drop(a);
-        assert_eq!(b.items(h0), &["a", "b"]);
-        assert_eq!(b.items(h1), &["z"]);
+        assert_eq!(b.items(h0), &[1, 2]);
+        assert_eq!(b.items(h1), &[26]);
+        assert_eq!(b.run_len(h0), 2);
     }
 
     #[test]
@@ -969,13 +845,6 @@ mod tests {
         a.append_vec_prefix(h, &mut v, 2);
         assert_eq!(a.items(h), &[1, 10, 11]);
         assert_eq!(v, vec![12, 13]);
-
-        let mut a = LevelArena::<String>::new();
-        let h = a.add_level(4);
-        let mut v = vec!["x".to_string(), "y".into(), "z".into()];
-        a.append_vec_prefix(h, &mut v, 2);
-        assert_eq!(a.items(h), &["x", "y"]);
-        assert_eq!(v, vec!["z"]);
     }
 
     #[test]

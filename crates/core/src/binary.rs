@@ -3,33 +3,33 @@
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! magic "REQ1" | version u8
-//! flags u8 (bit0 = high-rank accuracy, bit1 = adaptive schedule (v3+))
+//! magic "REQ1" | version u8 (= 3)
+//! flags u8 (bit0 = high-rank accuracy, bit1 = adaptive schedule)
 //! policy tag u8 + policy payload
 //! n u64 | max_n u64 | k u32 | num_sections u32 | reseed u64
 //! min item (tag u8 + payload) | max item (tag u8 + payload)
 //! num_levels u32
 //! per level: state u64 | compactions u64 | special u64
-//!            | num_sections u32 (v3+) | absorbed u64 (v3+)
-//!            | run_len u32 (v2+) | len u32 | items
+//!            | num_sections u32 | absorbed u64
+//!            | run_len u32 | len u32 | items
 //! ```
 //!
-//! Version 2 added `run_len`, the sorted-run prefix of each level buffer
+//! `run_len` is the sorted-run prefix of each level buffer
 //! (`items[..run_len]` is sorted by the internal comparator), so a
 //! deserialized sketch resumes merge-maintained compactions without
-//! re-sorting. Version-1 bytes are still accepted: they carry no run
-//! information, so every level loads as all-tail (`run_len = 0`) and the
-//! first ordering operation re-establishes the invariant. Untrusted v2
-//! input is validated — a declared run that is not actually sorted is
-//! rejected as corrupt rather than silently mis-answering rank queries.
+//! re-sorting. Flags bit 1 records the [`crate::CompactionSchedule`], and
+//! each level carries its *own* section count (adaptive levels diverge from
+//! the header's floor, arXiv:2511.17396) plus its lifetime absorbed item
+//! count, which is what the adaptive schedule re-plans geometry from.
 //!
-//! Version 3 added the adaptive-compactor state (arXiv:2511.17396): flags
-//! bit 1 records the [`crate::CompactionSchedule`], and each level carries
-//! its *own* section count (adaptive levels diverge from the header's
-//! floor) plus its lifetime absorbed item count, which is what the adaptive
-//! schedule re-plans geometry from. v1/v2 bytes load as standard-schedule
-//! sketches with every level on the header geometry and zero absorbed
-//! weight (such sketches never consult it).
+//! Only version 3 — the one [`ReqSketch::to_bytes`] writes — is read.
+//! Versions 1 and 2 (no per-level geometry, v1 also no `run_len`) are
+//! rejected as [`ReqError::CorruptBytes`]. Untrusted input is validated
+//! before any level is reserved: `k` must be the one the image's own
+//! policy derives for its `max_n`, no section count may exceed 65, a
+//! level's length must fit the remaining bytes, and a declared run that is
+//! not actually sorted is rejected rather than silently mis-answering rank
+//! queries.
 //!
 //! The RNG's in-flight state is not serialized; a fresh seed (`reseed`,
 //! drawn from the sketch's RNG at serialization time) is stored instead.
@@ -52,10 +52,40 @@ use crate::schedule::{CompactionSchedule, CompactionState};
 use crate::sketch::ReqSketch;
 
 const MAGIC: &[u8; 4] = b"REQ1";
-/// Current write version. See the module docs for the version deltas.
+/// Current write version (see the module docs).
 const VERSION: u8 = 3;
 /// Oldest version `from_bytes` still reads.
-const MIN_VERSION: u8 = 1;
+const MIN_VERSION: u8 = 3;
+/// Most sections a level can have: [`crate::schedule::adaptive_num_sections`]
+/// returns at most `⌈log₂(u64::MAX)⌉ + 1 = 65`, and every policy's
+/// `params_for` stays at or below it.
+const MAX_SECTIONS: u32 = 65;
+
+/// The geometry check shared by both sketch-image decoders, run on the
+/// header and on every level before any buffer is reserved. Every writer
+/// keeps the header `k` equal to `policy.params_for(max_n).k`, and no
+/// section count exceeds [`MAX_SECTIONS`]; an image that breaks either
+/// would otherwise make `RelativeCompactor::from_parts` reserve
+/// `2·k·sections` items of attacker-chosen size.
+pub(crate) fn check_geometry(
+    policy: &ParamPolicy,
+    max_n: u64,
+    k: u32,
+    sections: u32,
+) -> Result<(), String> {
+    let derived = policy.params_for(max_n).k;
+    if k != derived || k < 4 || !k.is_multiple_of(2) {
+        return Err(format!(
+            "invalid geometry: k={k}, but the policy derives k={derived} at max_n={max_n}"
+        ));
+    }
+    if !(1..=MAX_SECTIONS).contains(&sections) {
+        return Err(format!(
+            "invalid geometry: {sections} sections (must be 1..={MAX_SECTIONS})"
+        ));
+    }
+    Ok(())
+}
 
 /// Item types that can be encoded into the binary sketch format.
 pub trait Packable: Sized {
@@ -237,7 +267,7 @@ fn unpack_option<T: Packable>(input: &mut Bytes) -> Result<Option<T>, ReqError> 
     }
 }
 
-impl<T: Ord + Clone + Packable> ReqSketch<T> {
+impl<T: Ord + Copy + Packable> ReqSketch<T> {
     /// Serialize into the versioned binary format.
     pub fn to_bytes(&mut self) -> Bytes {
         let retained: usize = self.levels.iter().map(|l| l.len(&self.arena)).sum();
@@ -298,8 +328,7 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
         } else {
             RankAccuracy::LowRank
         };
-        // Pre-v3 writers had no schedule concept: everything was standard.
-        let schedule = if version >= 3 && flags & 2 == 2 {
+        let schedule = if flags & 2 == 2 {
             CompactionSchedule::Adaptive
         } else {
             CompactionSchedule::Standard
@@ -309,11 +338,7 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
         let max_n = u64::unpack(&mut input)?;
         let k = u32::unpack(&mut input)?;
         let num_sections = u32::unpack(&mut input)?;
-        if k < 4 || k % 2 != 0 || num_sections == 0 {
-            return Err(ReqError::CorruptBytes(format!(
-                "invalid geometry k={k} sections={num_sections}"
-            )));
-        }
+        check_geometry(&policy, max_n, k, num_sections).map_err(ReqError::CorruptBytes)?;
         let reseed = u64::unpack(&mut input)?;
         let min_item = unpack_option::<T>(&mut input)?;
         let max_item = unpack_option::<T>(&mut input)?;
@@ -329,26 +354,10 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
             let state = u64::unpack(&mut input)?;
             let compactions = u64::unpack(&mut input)?;
             let special = u64::unpack(&mut input)?;
-            // Pre-v3 levels all share the header geometry and carry no
-            // absorbed-weight history.
-            let (level_sections, absorbed) = if version >= 3 {
-                let s = u32::unpack(&mut input)?;
-                if s == 0 {
-                    return Err(ReqError::CorruptBytes(
-                        "level declares zero sections".into(),
-                    ));
-                }
-                (s, u64::unpack(&mut input)?)
-            } else {
-                (num_sections, 0)
-            };
-            // v1 bytes carry no run information: load as all-tail and let
-            // the first ordering operation rebuild the invariant.
-            let run_len = if version >= 2 {
-                u32::unpack(&mut input)? as usize
-            } else {
-                0
-            };
+            let level_sections = u32::unpack(&mut input)?;
+            check_geometry(&policy, max_n, k, level_sections).map_err(ReqError::CorruptBytes)?;
+            let absorbed = u64::unpack(&mut input)?;
+            let run_len = u32::unpack(&mut input)? as usize;
             let len = u32::unpack(&mut input)? as usize;
             if run_len > len {
                 return Err(ReqError::CorruptBytes(format!(
@@ -467,7 +476,7 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_f64_and_string() {
+    fn roundtrip_f64() {
         let mut s = ReqSketch::<OrdF64>::with_policy(
             ParamPolicy::fixed_k(8).unwrap(),
             RankAccuracy::LowRank,
@@ -479,19 +488,6 @@ mod tests {
         let t = ReqSketch::<OrdF64>::from_bytes(&s.to_bytes()).unwrap();
         assert_eq!(t.len(), 5_000);
         assert_eq!(t.rank(&OrdF64(100.0)), s.rank(&OrdF64(100.0)));
-
-        let mut s = ReqSketch::<String>::with_policy(
-            ParamPolicy::fixed_k(8).unwrap(),
-            RankAccuracy::LowRank,
-            3,
-        );
-        for i in 0..2_000 {
-            s.update(format!("key-{i:06}"));
-        }
-        let t = ReqSketch::<String>::from_bytes(&s.to_bytes()).unwrap();
-        assert_eq!(t.len(), 2_000);
-        let probe = "key-001000".to_string();
-        assert_eq!(t.rank(&probe), s.rank(&probe));
     }
 
     #[test]
@@ -539,10 +535,18 @@ mod tests {
             Err(ReqError::CorruptBytes(_))
         ));
 
-        // bad version
-        let mut bad = good.clone();
-        bad[4] = 99;
-        assert!(ReqSketch::<u64>::from_bytes(&bad).is_err());
+        // bad version: unknown, and the pre-v3 layouts no writer produces
+        for version in [0, 1, 2, 4, 99] {
+            let mut bad = good.clone();
+            bad[4] = version;
+            assert!(
+                matches!(
+                    ReqSketch::<u64>::from_bytes(&bad),
+                    Err(ReqError::CorruptBytes(_))
+                ),
+                "version {version} accepted"
+            );
+        }
 
         // truncations at every prefix length must error, never panic
         for cut in [0, 1, 5, 10, 20, good.len() / 2, good.len() - 1] {
@@ -560,8 +564,7 @@ mod tests {
 
     /// Walk the fixed-size header of `FixedK` u64 sketch bytes, returning
     /// the offset of the `num_levels` field (magic, version, flags, policy,
-    /// n, max_n, k, num_sections, reseed, min/max options — the layout is
-    /// identical across v1–v3).
+    /// n, max_n, k, num_sections, reseed, min/max options).
     fn num_levels_offset(bytes: &[u8]) -> usize {
         let mut off = 4 + 1 + 1; // magic, version, flags
         off += 1 + 4; // FixedK policy tag + k payload
@@ -577,95 +580,11 @@ mod tests {
         off
     }
 
-    /// Rewrite v3 bytes of a `FixedK` u64 sketch into the v2 layout (no
-    /// per-level `num_sections`/`absorbed`, no schedule flag) — exactly what
-    /// a pre-adaptive writer produced.
-    fn downgrade_to_v2(v3: &[u8]) -> Vec<u8> {
-        let mut out = v3.to_vec();
-        out[4] = 2; // version byte
-        out[5] &= !2; // clear the (v3-only) schedule flag
-        let mut off = num_levels_offset(&out);
-        let num_levels = u32::from_le_bytes(out[off..off + 4].try_into().unwrap()) as usize;
-        off += 4;
-        for _ in 0..num_levels {
-            off += 8 * 3; // state, compactions, special
-            out.drain(off..off + 12); // drop num_sections + absorbed
-            off += 4; // run_len
-            let len = u32::from_le_bytes(out[off..off + 4].try_into().unwrap()) as usize;
-            off += 4 + len * 8;
-        }
-        out
-    }
-
-    /// Rewrite v2 bytes into the v1 layout (no per-level `run_len`), exactly
-    /// what a pre-sorted-run writer produced.
-    fn downgrade_to_v1(v2: &[u8]) -> Vec<u8> {
-        let mut out = v2.to_vec();
-        out[4] = 1; // version byte
-        let mut off = num_levels_offset(&out);
-        let num_levels = u32::from_le_bytes(out[off..off + 4].try_into().unwrap()) as usize;
-        off += 4;
-        for _ in 0..num_levels {
-            off += 8 * 3; // state, compactions, special
-            out.drain(off..off + 4); // drop run_len
-            let len = u32::from_le_bytes(out[off..off + 4].try_into().unwrap()) as usize;
-            off += 4 + len * 8;
-        }
-        out
-    }
-
-    #[test]
-    fn version2_bytes_load_on_header_geometry() {
-        let mut s = sample_sketch();
-        let expectations: Vec<(u64, u64)> = (0..1_000_003u64)
-            .step_by(40_009)
-            .map(|y| (y, s.rank(&y)))
-            .collect();
-        let v2 = downgrade_to_v2(&s.to_bytes());
-        let t = ReqSketch::<u64>::from_bytes(&v2).unwrap();
-        assert_eq!(t.len(), s.len());
-        assert_eq!(t.compaction_schedule(), crate::CompactionSchedule::Standard);
-        // No absorbed history in v2; levels all on the header geometry.
-        let stats = t.stats();
-        assert!(stats.levels.iter().all(|l| l.absorbed == 0));
-        assert!(stats
-            .levels
-            .iter()
-            .all(|l| l.num_sections == t.num_sections()));
-        for (y, want) in &expectations {
-            assert_eq!(t.rank(y), *want, "rank mismatch at {y}");
-        }
-    }
-
-    #[test]
-    fn version1_bytes_load_as_all_tail_and_reestablish_invariant() {
-        let mut s = sample_sketch();
-        let expectations: Vec<(u64, u64)> = (0..1_000_003u64)
-            .step_by(40_009)
-            .map(|y| (y, s.rank(&y)))
-            .collect();
-        let v1 = downgrade_to_v1(&downgrade_to_v2(&s.to_bytes()));
-        let mut t = ReqSketch::<u64>::from_bytes(&v1).unwrap();
-        assert_eq!(t.len(), s.len());
-        // No run information in v1: every level arrives as all-tail.
-        assert!(t.stats().levels.iter().all(|l| l.run_len == 0));
-        for (y, want) in &expectations {
-            assert_eq!(t.rank(y), *want, "rank mismatch at {y}");
-        }
-        // Continued ingest re-establishes the sorted-run invariant.
-        for i in 0..100_000u64 {
-            t.update(i);
-        }
-        assert!(t.stats().levels.iter().any(|l| l.run_len > 0));
-        assert_eq!(t.len(), 200_000);
-    }
-
     #[test]
     fn lying_run_len_is_rejected() {
         let mut s = sample_sketch();
         let good = s.to_bytes().to_vec();
-        // Locate the first level's run_len field with the same offset walk
-        // as the downgrade helpers.
+        // Locate the first level's run_len field.
         let mut off = num_levels_offset(&good);
         off += 4; // num_levels
         off += 8 * 3 + 4 + 8; // first level's counters, num_sections, absorbed

@@ -116,7 +116,9 @@ impl ReqSketchBuilder {
     /// [`CompactionMode::SortedRuns`] maintains each buffer as a sorted run
     /// plus a small unsorted tail and merges instead of re-sorting;
     /// [`CompactionMode::SortOnCompact`] is the retained reference path for
-    /// A/B benchmarking and the equivalence proptests.
+    /// A/B benchmarking and the equivalence proptests. The mode applies to
+    /// [`Self::build`] and its typed variants only:
+    /// [`crate::ConcurrentReqSketch`] shards always run `SortedRuns`.
     pub fn compaction_mode(mut self, mode: CompactionMode) -> Self {
         self.mode = mode;
         self
@@ -135,8 +137,8 @@ impl ReqSketchBuilder {
         self
     }
 
-    /// Build a sketch over any totally ordered, clonable item type.
-    pub fn build<T: Ord + Clone>(self) -> Result<ReqSketch<T>, ReqError> {
+    /// Build a sketch over any totally ordered `Copy` item type.
+    pub fn build<T: Ord + Copy>(self) -> Result<ReqSketch<T>, ReqError> {
         let policy = self.policy?;
         let seed = self.seed.unwrap_or_else(|| rand::thread_rng().next_u64());
         let mut sketch =

@@ -16,11 +16,10 @@
 //! schedule metadata, and every buffer lives in a shared
 //! [`LevelArena`] (one contiguous allocation,
 //! per-level `(offset, len, cap, run_len)` slots). Every item operation
-//! therefore takes the arena as an explicit argument; the arena's branchless
-//! merge kernels carry the hot path for types without drop glue, and types
-//! with drop glue transparently take a `Vec`-based safe lane
-//! ([`LevelArena::take_level`] / [`LevelArena::restore_level`]) with
-//! identical semantics.
+//! therefore takes the arena as an explicit argument and runs on the
+//! arena's branchless merge/emit kernels. Item types
+//! are `Ord + Copy` (integers, [`crate::OrdF64`], [`crate::OrdF32`], …),
+//! which is what lets those kernels move items by bit-copy.
 //!
 //! # Sorted-run maintenance
 //!
@@ -155,8 +154,8 @@ pub struct RelativeCompactor<T> {
     /// compactions extract the top of all three regions directly
     /// ([`LevelArena::compact_top`]), so the cold run — which holds the
     /// protected items — is rewritten only when the warm run outgrows
-    /// `B/4` and is flushed into it. Always 0 for types with drop glue and
-    /// in [`CompactionMode::SortOnCompact`]. Not serialized: on load the
+    /// `B/4` and is flushed into it. Always 0 in
+    /// [`CompactionMode::SortOnCompact`]. Not serialized: on load the
     /// warm items are indistinguishable from raw appends and the first
     /// ordering operation rebuilds the invariant.
     warm_len: usize,
@@ -329,25 +328,6 @@ impl<T> RelativeCompactor<T> {
         self.warm_len
     }
 
-    /// Append one item to the unsorted tail (caller checks `is_at_capacity`
-    /// afterwards).
-    #[inline]
-    pub fn push(&mut self, arena: &mut LevelArena<T>, item: T) {
-        self.absorbed += 1;
-        arena.push(self.slot, item);
-    }
-
-    /// Append a whole slice to the unsorted tail (caller checks
-    /// `is_at_capacity` afterwards) — the bulk counterpart of
-    /// [`RelativeCompactor::push`] used by the batched ingest path.
-    pub fn push_slice(&mut self, arena: &mut LevelArena<T>, items: &[T])
-    where
-        T: Clone,
-    {
-        self.absorbed += items.len() as u64;
-        arena.extend_from_slice(self.slot, items);
-    }
-
     /// Update `(k, s)` after the stream-length estimate grew (footnote 9 /
     /// Algorithm 3 line 7). Existing items are untouched; only the logical
     /// capacity changes (the slot may transiently hold more items than the
@@ -358,7 +338,9 @@ impl<T> RelativeCompactor<T> {
         self.num_sections = num_sections.max(1);
         arena.reserve(self.slot, self.capacity());
     }
+}
 
+impl<T: Ord + Copy> RelativeCompactor<T> {
     /// Rebuild from raw parts (deserialization), seeding a fresh slot in
     /// `arena`. `run_len` declares the sorted-run prefix of `items`; callers
     /// loading untrusted bytes must validate it with
@@ -397,9 +379,23 @@ impl<T> RelativeCompactor<T> {
             _items: PhantomData,
         }
     }
-}
 
-impl<T: Ord> RelativeCompactor<T> {
+    /// Append one item to the unsorted tail (caller checks `is_at_capacity`
+    /// afterwards).
+    #[inline]
+    pub fn push(&mut self, arena: &mut LevelArena<T>, item: T) {
+        self.absorbed += 1;
+        arena.push(self.slot, item);
+    }
+
+    /// Append a whole slice to the unsorted tail (caller checks
+    /// `is_at_capacity` afterwards) — the bulk counterpart of
+    /// [`RelativeCompactor::push`] used by the batched ingest path.
+    pub fn push_slice(&mut self, arena: &mut LevelArena<T>, items: &[T]) {
+        self.absorbed += items.len() as u64;
+        arena.extend_from_slice(self.slot, items);
+    }
+
     /// True when the declared run prefix really is sorted by the internal
     /// comparator — the validation hook for deserializing untrusted bytes.
     pub fn run_is_sorted(&self, arena: &LevelArena<T>, acc: RankAccuracy) -> bool {
@@ -484,8 +480,7 @@ impl<T: Ord> RelativeCompactor<T> {
             self.items_sorted += (len - rw) as u64;
             if self.warm_len > 0 {
                 // Fold the sorted raw span into the warm run so items[run..]
-                // becomes one sorted span. (warm_len > 0 implies no drop
-                // glue — the kernels below are reachable.)
+                // becomes one sorted span.
                 let items = arena.items(self.slot);
                 if acc.icmp(&items[rw - 1], &items[rw]) == Ordering::Greater {
                     let split = items[run..rw]
@@ -510,18 +505,8 @@ impl<T: Ord> RelativeCompactor<T> {
         // Gallop: run items at or below the span minimum keep their place.
         let split = items[..run].partition_point(|x| acc.icmp(x, &items[run]) != Ordering::Greater);
         self.items_merge_moved += ((run - split) + (len - run)) as u64;
-        if std::mem::needs_drop::<T>() {
-            // Safe Vec lane for types with drop glue.
-            let (mut buf, _) = arena.take_level(self.slot);
-            let mut tail: Vec<T> = buf.split_off(run);
-            let mut high: Vec<T> = buf.split_off(split);
-            merge_into(&mut buf, &mut high, tail.drain(..), acc);
-            let n = buf.len();
-            arena.restore_level(self.slot, buf, n);
-        } else {
-            arena.merge_regions(self.slot, split, run, |a, b| acc.icmp(a, b));
-            arena.set_run_len(self.slot, len);
-        }
+        arena.merge_regions(self.slot, split, run, |a, b| acc.icmp(a, b));
+        arena.set_run_len(self.slot, len);
         debug_assert!(self.run_is_sorted(arena, acc));
     }
 
@@ -584,18 +569,6 @@ impl<T: Ord> RelativeCompactor<T> {
             }
             return;
         }
-        if std::mem::needs_drop::<T>() {
-            // Safe Vec lane (warm_len is always 0 here): merge into the run.
-            let split = items.partition_point(|x| acc.icmp(x, &incoming[0]) != Ordering::Greater);
-            self.items_merge_moved += ((len - split) + count) as u64;
-            let (mut buf, _) = arena.take_level(self.slot);
-            let mut high: Vec<T> = buf.split_off(split);
-            merge_into(&mut buf, &mut high, incoming.drain(..count), acc);
-            let n = buf.len();
-            arena.restore_level(self.slot, buf, n);
-            debug_assert!(self.run_is_sorted(arena, acc));
-            return;
-        }
         if self.warm_len == 0 {
             // The incoming run *becomes* the warm run — zero item moves; the
             // cold run is not touched at all.
@@ -618,8 +591,8 @@ impl<T: Ord> RelativeCompactor<T> {
     /// Flush the warm run into the cold run once it outgrows `B/4`: one
     /// gallop-split backward merge, after which the whole buffer is a single
     /// run again. Amortized this rewrites the cold run only once per `B/4`
-    /// warm items instead of on every incoming chunk. Only called on the
-    /// no-drop lane with no raw appends present.
+    /// warm items instead of on every incoming chunk. Only called with no
+    /// raw appends present.
     fn maybe_flush_warm(&mut self, arena: &mut LevelArena<T>, acc: RankAccuracy) {
         let warm = self.warm_len;
         if warm * 4 <= self.capacity() {
@@ -759,15 +732,12 @@ impl<T: Ord> RelativeCompactor<T> {
     /// the rest, emit every other one (offset chosen by `coin`), drop the
     /// rest.
     ///
-    /// In [`CompactionMode::SortedRuns`] (no drop glue) this is the hot
-    /// lane: only the raw appends are sorted, then
-    /// [`LevelArena::compact_top`] extracts the top `m` items straight out
-    /// of the three sorted regions — the protected prefix of the cold run
-    /// is never rewritten. Types with drop glue canonicalize first
-    /// ([`RelativeCompactor::ensure_sorted`]) and emit on the safe `Vec`
-    /// lane; the reference mode keeps the original `O(B + m log m)`
-    /// partition+sort. All lanes compact the same multiset and emit the
-    /// same sorted item sequence.
+    /// In [`CompactionMode::SortedRuns`] only the raw appends are sorted,
+    /// then [`LevelArena::compact_top`] extracts the top `m` items straight
+    /// out of the three sorted regions — the protected prefix of the cold
+    /// run is never rewritten. The reference mode keeps the original
+    /// `O(B + m log m)` partition+sort. Both compact the same multiset and
+    /// emit the same sorted item sequence.
     fn compact_above(
         &mut self,
         arena: &mut LevelArena<T>,
@@ -785,57 +755,48 @@ impl<T: Ord> RelativeCompactor<T> {
         debug_assert_eq!((len - protect) % 2, 0, "compacted range must be even");
         let compacted = len - protect;
         let offset = usize::from(coin);
-        if self.mode == CompactionMode::SortedRuns && !std::mem::needs_drop::<T>() {
-            let run = arena.run_len(self.slot);
-            let warm = self.warm_len;
-            let rw = run + warm;
-            if rw < len {
-                match acc {
-                    RankAccuracy::LowRank => arena.items_mut(self.slot)[rw..].sort_unstable(),
-                    RankAccuracy::HighRank => {
-                        arena.items_mut(self.slot)[rw..].sort_unstable_by(|a, b| b.cmp(a))
-                    }
-                }
-                self.items_sorted += (len - rw) as u64;
-            }
-            let (ri, wi, ti, emitted) =
-                arena.compact_top(self.slot, run, warm, compacted, offset, out, |a, b| {
-                    acc.icmp(a, b)
-                });
-            self.items_merge_moved += compacted as u64
-                + if ri < run { wi as u64 } else { 0 }
-                + if ri + wi < rw { ti as u64 } else { 0 };
-            // Fold the sorted-tail survivors into the warm run (they sit
-            // right after it already — when the warm run is empty they *are*
-            // the new warm run, for free).
-            self.warm_len = wi;
-            if ti > 0 {
-                if wi == 0 {
-                    self.warm_len = ti;
-                } else {
-                    let items = arena.items(self.slot);
-                    let whi = ri + wi;
-                    if acc.icmp(&items[whi - 1], &items[whi]) == Ordering::Greater {
-                        let split = items[ri..whi]
-                            .partition_point(|x| acc.icmp(x, &items[whi]) != Ordering::Greater);
-                        self.items_merge_moved += ((wi - split) + ti) as u64;
-                        arena.merge_regions(self.slot, ri + split, whi, |a, b| acc.icmp(a, b));
-                    }
-                    self.warm_len = wi + ti;
-                }
-            }
-            self.maybe_flush_warm(arena, acc);
-            return CompactionOutcome {
-                compacted,
-                emitted,
-                sections,
-            };
-        }
-        match self.mode {
+        let emitted = match self.mode {
             CompactionMode::SortedRuns => {
-                // Drop-glue lane: the whole buffer becomes one sorted run;
-                // the compacted slice items[protect..] is then in order.
-                self.ensure_sorted(arena, acc);
+                let run = arena.run_len(self.slot);
+                let warm = self.warm_len;
+                let rw = run + warm;
+                if rw < len {
+                    match acc {
+                        RankAccuracy::LowRank => arena.items_mut(self.slot)[rw..].sort_unstable(),
+                        RankAccuracy::HighRank => {
+                            arena.items_mut(self.slot)[rw..].sort_unstable_by(|a, b| b.cmp(a))
+                        }
+                    }
+                    self.items_sorted += (len - rw) as u64;
+                }
+                let (ri, wi, ti, emitted) =
+                    arena.compact_top(self.slot, run, warm, compacted, offset, out, |a, b| {
+                        acc.icmp(a, b)
+                    });
+                self.items_merge_moved += compacted as u64
+                    + if ri < run { wi as u64 } else { 0 }
+                    + if ri + wi < rw { ti as u64 } else { 0 };
+                // Fold the sorted-tail survivors into the warm run (they sit
+                // right after it already — when the warm run is empty they
+                // *are* the new warm run, for free).
+                self.warm_len = wi;
+                if ti > 0 {
+                    if wi == 0 {
+                        self.warm_len = ti;
+                    } else {
+                        let items = arena.items(self.slot);
+                        let whi = ri + wi;
+                        if acc.icmp(&items[whi - 1], &items[whi]) == Ordering::Greater {
+                            let split = items[ri..whi]
+                                .partition_point(|x| acc.icmp(x, &items[whi]) != Ordering::Greater);
+                            self.items_merge_moved += ((wi - split) + ti) as u64;
+                            arena.merge_regions(self.slot, ri + split, whi, |a, b| acc.icmp(a, b));
+                        }
+                        self.warm_len = wi + ti;
+                    }
+                }
+                self.maybe_flush_warm(arena, acc);
+                emitted
             }
             CompactionMode::SortOnCompact => {
                 let items = arena.items_mut(self.slot);
@@ -848,65 +809,13 @@ impl<T: Ord> RelativeCompactor<T> {
                 self.items_sorted += (len - protect) as u64;
                 arena.set_run_len(self.slot, 0);
                 self.warm_len = 0;
+                arena.emit_every_other(self.slot, protect, offset, out)
             }
-        }
-        let emitted = if std::mem::needs_drop::<T>() {
-            let (mut buf, run) = arena.take_level(self.slot);
-            let before = out.len();
-            out.extend(
-                buf.drain(protect..)
-                    .enumerate()
-                    .filter_map(|(i, x)| (i % 2 == offset).then_some(x)),
-            );
-            let emitted = out.len() - before;
-            arena.restore_level(self.slot, buf, run.min(protect));
-            emitted
-        } else {
-            arena.emit_every_other(self.slot, protect, offset, out)
         };
-        if self.mode == CompactionMode::SortedRuns {
-            arena.set_run_len(self.slot, protect);
-        }
         CompactionOutcome {
             compacted,
             emitted,
             sections,
-        }
-    }
-}
-
-/// Merge two runs sorted by `acc.icmp` (draining `a`, consuming `b`) onto
-/// the end of `dst`, preferring `a` on ties so run-side items keep their
-/// place. The safe lane for types with drop glue; the no-drop lane is the
-/// arena's branchless [`LevelArena::merge_regions`] /
-/// [`LevelArena::merge_vec_into_region`] kernels with identical tie
-/// semantics.
-pub(crate) fn merge_into<T: Ord, I: Iterator<Item = T>>(
-    dst: &mut Vec<T>,
-    a: &mut Vec<T>,
-    b: I,
-    acc: RankAccuracy,
-) {
-    dst.reserve(a.len() + b.size_hint().0);
-    let mut ia = a.drain(..).peekable();
-    let mut ib = b.peekable();
-    loop {
-        match (ia.peek(), ib.peek()) {
-            (Some(x), Some(y)) => {
-                if acc.icmp(x, y) != Ordering::Greater {
-                    dst.push(ia.next().expect("peeked"));
-                } else {
-                    dst.push(ib.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => {
-                dst.extend(ia);
-                break;
-            }
-            (None, _) => {
-                dst.extend(ib);
-                break;
-            }
         }
     }
 }
@@ -1263,37 +1172,6 @@ mod tests {
         c.ensure_sorted(&mut ar, RankAccuracy::LowRank);
         assert_eq!(c.items(&ar), &[10, 20, 30, 40, 50, 70, 90]);
         assert!(c.items_merge_moved() > 0);
-    }
-
-    #[test]
-    fn ensure_sorted_drop_type_lane_matches() {
-        // The Vec-based lane for types with drop glue: same semantics.
-        let mut ar = LevelArena::<String>::new();
-        let mut c = RelativeCompactor::new(&mut ar, 4, 3);
-        for s in ["m", "c", "x", "a", "t"] {
-            c.push(&mut ar, s.to_string());
-        }
-        c.ensure_sorted(&mut ar, RankAccuracy::LowRank);
-        assert_eq!(c.items(&ar), &["a", "c", "m", "t", "x"]);
-        c.push(&mut ar, "b".to_string());
-        c.ensure_sorted(&mut ar, RankAccuracy::LowRank);
-        assert_eq!(c.items(&ar), &["a", "b", "c", "m", "t", "x"]);
-        let mut run = vec!["d".to_string(), "z".to_string()];
-        c.merge_sorted_run(&mut ar, &mut run, RankAccuracy::LowRank);
-        assert_eq!(c.items(&ar), &["a", "b", "c", "d", "m", "t", "x", "z"]);
-        // Fill to capacity and compact: the safe emission lane must conserve
-        // weight exactly like the branchless one.
-        let mut i = 0u32;
-        while !c.is_at_capacity(&ar) {
-            c.push(&mut ar, format!("p{i:04}"));
-            i += 1;
-        }
-        let before = c.len(&ar);
-        let mut out = Vec::new();
-        let o = c.compact_scheduled(&mut ar, RankAccuracy::LowRank, false, &mut out);
-        assert_eq!(o.emitted * 2, o.compacted);
-        assert_eq!(c.len(&ar) + o.compacted, before);
-        assert!(c.run_is_sorted(&ar, RankAccuracy::LowRank));
     }
 
     #[test]

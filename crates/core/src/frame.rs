@@ -136,7 +136,7 @@ pub fn read_frame(input: &mut Bytes) -> Result<Bytes, ReqError> {
     Ok(input.copy_to_bytes(len))
 }
 
-impl<T: Ord + Clone + Packable> ReqSketch<T> {
+impl<T: Ord + Copy + Packable> ReqSketch<T> {
     /// [`ReqSketch::to_bytes`] wrapped in one checksummed frame — the unit
     /// the snapshot store persists.
     pub fn to_bytes_framed(&mut self) -> Bytes {

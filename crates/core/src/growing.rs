@@ -37,7 +37,7 @@ pub struct GrowingReqSketch<T> {
     seed: u64,
 }
 
-impl<T: Ord + Clone> GrowingReqSketch<T> {
+impl<T: Ord + Copy> GrowingReqSketch<T> {
     /// Create with target relative error `eps`, failure probability `delta`,
     /// orientation, and RNG seed. The initial estimate is
     /// `N₀ = max(64, ⌈4/ε⌉)` (§5 suggests `N₀ = O(ε⁻¹)`).
@@ -109,7 +109,7 @@ impl<T: Ord + Clone> GrowingReqSketch<T> {
     }
 }
 
-impl<T: Ord + Clone> QuantileSketch<T> for GrowingReqSketch<T> {
+impl<T: Ord + Copy> QuantileSketch<T> for GrowingReqSketch<T> {
     fn update(&mut self, item: T) {
         // "As soon as the stream length hits the current estimate Nᵢ, the
         // algorithm closes out the current data structure" (§5).
@@ -171,7 +171,7 @@ impl<T: Ord + Clone> QuantileSketch<T> for GrowingReqSketch<T> {
     }
 }
 
-impl<T: Ord + Clone> SpaceUsage for GrowingReqSketch<T> {
+impl<T: Ord + Copy> SpaceUsage for GrowingReqSketch<T> {
     fn retained(&self) -> usize {
         self.closed.iter().map(|s| s.retained()).sum::<usize>() + self.active.retained()
     }

@@ -44,12 +44,11 @@
 //!
 //! ## Typed fast lanes
 //!
-//! The sketch is generic over any `T: Ord + Clone`, and the ingest hot path
-//! specializes per type: for types without drop glue (`u64`, `i32`,
-//! [`OrdF32`], [`OrdF64`], …) compaction runs through the arena's branchless
-//! merge/emit kernels with zero per-item allocation. Integers and other
-//! naturally ordered types need **no wrapper at all** — `OrdF64` is only for
-//! `f64`, whose `NaN` breaks `Ord`:
+//! The sketch is generic over any `T: Ord + Copy` (`u64`, `i32`,
+//! [`OrdF32`], [`OrdF64`], …), and compaction runs through the arena's
+//! branchless merge/emit kernels with zero per-item allocation. Integers and
+//! other naturally ordered types need **no wrapper at all** — `OrdF64` is
+//! only for `f64`, whose `NaN` breaks `Ord`:
 //!
 //! ```
 //! use req_core::{QuantileSketch, RankAccuracy, ReqSketch};
@@ -69,6 +68,16 @@
 //!
 //! For floats, [`ReqF32`]/[`ReqF64`] (via `build_f32`/`build_f64`) wrap the
 //! same machinery behind `update_f32`/`quantile_f32`-style accessors.
+//!
+//! Item types with drop glue are not supported: the kernels move items by
+//! bit-copy, so a sketch of `String`s does not build.
+//!
+//! ```compile_fail,E0277
+//! use req_core::ReqSketch;
+//!
+//! // error[E0277]: the trait bound `String: Copy` is not satisfied
+//! let sketch: ReqSketch<String> = ReqSketch::<u64>::builder().k(12).build().unwrap();
+//! ```
 //!
 //! ## Module map
 //!

@@ -41,7 +41,7 @@ use crate::schedule::CompactionSchedule;
 use crate::sketch::ReqSketch;
 
 /// Implementation of [`ReqSketch::try_merge`].
-pub(crate) fn merge_into<T: Ord + Clone>(
+pub(crate) fn merge_into<T: Ord + Copy>(
     target: &mut ReqSketch<T>,
     mut other: ReqSketch<T>,
 ) -> Result<(), ReqError> {
@@ -126,7 +126,7 @@ pub(crate) fn merge_into<T: Ord + Clone>(
     Ok(())
 }
 
-fn check_compatible<T: Ord + Clone>(a: &ReqSketch<T>, b: &ReqSketch<T>) -> Result<(), ReqError> {
+fn check_compatible<T: Ord + Copy>(a: &ReqSketch<T>, b: &ReqSketch<T>) -> Result<(), ReqError> {
     if a.policy != b.policy {
         return Err(ReqError::IncompatibleMerge(format!(
             "parameter policies differ: {:?} vs {:?}",
@@ -150,7 +150,7 @@ fn check_compatible<T: Ord + Clone>(a: &ReqSketch<T>, b: &ReqSketch<T>) -> Resul
 
 /// Replace an empty target's content with `other`'s (keeping the target's
 /// RNG and compaction mode).
-fn adopt<T: Ord + Clone>(target: &mut ReqSketch<T>, other: ReqSketch<T>) {
+fn adopt<T: Ord + Copy>(target: &mut ReqSketch<T>, other: ReqSketch<T>) {
     target.arena = other.arena;
     target.levels = other.levels;
     let mode = target.mode;
@@ -180,7 +180,7 @@ fn swap_contents<T>(a: &mut ReqSketch<T>, b: &mut ReqSketch<T>) {
 
 /// Merge many sketches pairwise along a balanced binary tree, mimicking a
 /// distributed aggregation topology. Returns `None` for an empty input.
-pub fn merge_balanced<T: Ord + Clone>(
+pub fn merge_balanced<T: Ord + Copy>(
     sketches: Vec<ReqSketch<T>>,
 ) -> Result<Option<ReqSketch<T>>, ReqError> {
     let mut layer = sketches;
@@ -199,7 +199,7 @@ pub fn merge_balanced<T: Ord + Clone>(
 }
 
 /// Merge many sketches left-to-right (a worst-case lopsided merge tree).
-pub fn merge_linear<T: Ord + Clone>(
+pub fn merge_linear<T: Ord + Copy>(
     sketches: Vec<ReqSketch<T>>,
 ) -> Result<Option<ReqSketch<T>>, ReqError> {
     let mut iter = sketches.into_iter();
@@ -224,7 +224,7 @@ pub fn merge_linear<T: Ord + Clone>(
 /// than answered with a sketch of unknowable configuration.
 pub fn merge_wire_parts<T, B>(parts: &[B]) -> Result<ReqSketch<T>, ReqError>
 where
-    T: Ord + Clone + crate::binary::Packable,
+    T: Ord + Copy + crate::binary::Packable,
     B: AsRef<[u8]>,
 {
     let mut iter = parts.iter();
@@ -240,7 +240,7 @@ where
 
 /// Merge in a uniformly random pairing order (random merge tree), driven by
 /// the supplied RNG — used by the mergeability experiments (E5).
-pub fn merge_random_tree<T: Ord + Clone, R: Rng>(
+pub fn merge_random_tree<T: Ord + Copy, R: Rng>(
     mut sketches: Vec<ReqSketch<T>>,
     rng: &mut R,
 ) -> Result<Option<ReqSketch<T>>, ReqError> {

@@ -5,9 +5,8 @@
 //! ordering (`f32::total_cmp`), under which
 //! `-NaN < -∞ < … < -0.0 < +0.0 < … < +∞ < +NaN`.
 //!
-//! `OrdF32` is a 4-byte `Copy` type with no drop glue, so it rides the
-//! arena's branchless merge kernels and halves the memory traffic of the
-//! `f64` lane — the natural item type for high-volume telemetry streams
+//! `OrdF32` is a 4-byte `Copy` type, so it halves the memory traffic of
+//! the `f64` lane in the arena's branchless merge kernels — the natural item type for high-volume telemetry streams
 //! where `f32` precision suffices. Use [`crate::ReqSketch`]`::<OrdF32>`
 //! (alias [`crate::ReqF32`]); convenience methods accepting/returning plain
 //! `f32` are provided on that alias:

@@ -17,7 +17,7 @@ use crate::sketch::ReqSketch;
 /// the constant used for confidence bounds carries extra headroom.
 pub const E13_CONSTANT: f64 = 0.05;
 
-impl<T: Ord + Clone> ReqSketch<T> {
+impl<T: Ord + Copy> ReqSketch<T> {
     /// A priori estimate of the relative-error parameter ε this sketch
     /// achieves at its current size.
     ///
@@ -175,7 +175,7 @@ impl<T: Ord + Clone> ReqSketch<T> {
         for h in 0..64 {
             if weight & (1u64 << h) != 0 {
                 self.ensure_level(h);
-                self.levels[h].push(&mut self.arena, item.clone());
+                self.levels[h].push(&mut self.arena, item);
             }
         }
         // Normalize any level the placement filled (batch pass: at most one

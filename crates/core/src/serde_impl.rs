@@ -17,6 +17,7 @@ use serde::ser::{SerializeStruct, SerializeStructVariant};
 use serde::value::FieldMap;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
+use crate::binary::check_geometry;
 use crate::compactor::{RankAccuracy, RelativeCompactor};
 use crate::ordf64::OrdF64;
 use crate::params::ParamPolicy;
@@ -132,16 +133,11 @@ struct LevelRepr<T> {
     state: u64,
     num_compactions: u64,
     num_special_compactions: u64,
-    /// Sorted-run prefix of `items`. Absent in pre-sorted-run value trees;
-    /// defaults to 0 (all-tail), which re-establishes the invariant on the
-    /// first ordering operation after load.
+    /// Sorted-run prefix of `items`.
     run_len: u64,
-    /// This level's own section count. Absent in pre-adaptive value trees;
-    /// defaults to 0, meaning "use the sketch-level geometry".
+    /// This level's own section count.
     num_sections: u32,
-    /// Lifetime absorbed item count (adaptive-schedule state). Absent in
-    /// pre-adaptive value trees; defaults to 0 (standard sketches never
-    /// consult it).
+    /// Lifetime absorbed item count (adaptive-schedule state).
     absorbed: u64,
     items: Vec<T>,
 }
@@ -164,34 +160,19 @@ impl<'de, T: DeserializeOwned> Deserialize<'de> for LevelRepr<T> {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let mut fields =
             FieldMap::from_value(deserializer.deserialize_value()?).map_err(D::Error::custom)?;
-        let run_len = if fields.contains("run_len") {
-            fields.take("run_len")?
-        } else {
-            0
-        };
-        let num_sections = if fields.contains("num_sections") {
-            fields.take("num_sections")?
-        } else {
-            0
-        };
-        let absorbed = if fields.contains("absorbed") {
-            fields.take("absorbed")?
-        } else {
-            0
-        };
         Ok(LevelRepr {
             state: fields.take("state")?,
             num_compactions: fields.take("num_compactions")?,
             num_special_compactions: fields.take("num_special_compactions")?,
-            run_len,
-            num_sections,
-            absorbed,
+            run_len: fields.take("run_len")?,
+            num_sections: fields.take("num_sections")?,
+            absorbed: fields.take("absorbed")?,
             items: fields.take("items")?,
         })
     }
 }
 
-impl<T: Ord + Clone + Serialize> Serialize for ReqSketch<T> {
+impl<T: Ord + Copy + Serialize> Serialize for ReqSketch<T> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         let levels: Vec<LevelRepr<T>> = self
             .levels
@@ -228,18 +209,13 @@ impl<T: Ord + Clone + Serialize> Serialize for ReqSketch<T> {
     }
 }
 
-impl<'de, T: Ord + Clone + DeserializeOwned> Deserialize<'de> for ReqSketch<T> {
+impl<'de, T: Ord + Copy + DeserializeOwned> Deserialize<'de> for ReqSketch<T> {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let mut fields =
             FieldMap::from_value(deserializer.deserialize_value()?).map_err(D::Error::custom)?;
         let policy: ParamPolicy = fields.take("policy")?;
         let high_rank_accuracy: bool = fields.take("high_rank_accuracy")?;
-        // Pre-adaptive value trees carry no schedule field: standard.
-        let adaptive_schedule: bool = if fields.contains("adaptive_schedule") {
-            fields.take("adaptive_schedule")?
-        } else {
-            false
-        };
+        let adaptive_schedule: bool = fields.take("adaptive_schedule")?;
         let n: u64 = fields.take("n")?;
         let max_n: u64 = fields.take("max_n")?;
         let k: u32 = fields.take("k")?;
@@ -249,11 +225,7 @@ impl<'de, T: Ord + Clone + DeserializeOwned> Deserialize<'de> for ReqSketch<T> {
         let seed: u64 = fields.take("seed")?;
         let levels: Vec<LevelRepr<T>> = fields.take("levels")?;
 
-        if k < 4 || !k.is_multiple_of(2) || num_sections == 0 {
-            return Err(D::Error::custom(format!(
-                "invalid sketch geometry k={k} sections={num_sections}"
-            )));
-        }
+        check_geometry(&policy, max_n, k, num_sections).map_err(D::Error::custom)?;
         let accuracy = if high_rank_accuracy {
             RankAccuracy::HighRank
         } else {
@@ -271,16 +243,11 @@ impl<'de, T: Ord + Clone + DeserializeOwned> Deserialize<'de> for ReqSketch<T> {
                         l.items.len()
                     )));
                 }
-                // 0 = "no per-level geometry recorded": header geometry.
-                let level_sections = if l.num_sections == 0 {
-                    num_sections
-                } else {
-                    l.num_sections
-                };
+                check_geometry(&policy, max_n, k, l.num_sections).map_err(D::Error::custom)?;
                 let level = RelativeCompactor::from_parts(
                     &mut arena,
                     k,
-                    level_sections,
+                    l.num_sections,
                     l.items,
                     run_len,
                     CompactionState::from_raw(l.state),
@@ -372,47 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn value_trees_without_run_len_still_load() {
-        // Pre-sorted-run serializations carried no `run_len`, and
-        // pre-adaptive ones no `adaptive_schedule`/`num_sections`/`absorbed`;
-        // such value trees must load as all-tail, standard-schedule,
-        // header-geometry levels and answer identically.
-        let s = sample();
-        let mut v = to_value(&s).unwrap();
-        fn strip_new_fields(v: &mut serde::Value) {
-            match v {
-                serde::Value::Struct { name, fields } => {
-                    if *name == "LevelRepr" {
-                        // Per-level additions (PR 3 + PR 4). The sketch-level
-                        // `num_sections` is original and must survive.
-                        fields.retain(|(k, _)| {
-                            !matches!(*k, "run_len" | "num_sections" | "absorbed")
-                        });
-                    } else {
-                        fields.retain(|(k, _)| *k != "adaptive_schedule");
-                    }
-                    for (_, f) in fields {
-                        strip_new_fields(f);
-                    }
-                }
-                serde::Value::Seq(items) => {
-                    for item in items {
-                        strip_new_fields(item);
-                    }
-                }
-                _ => {}
-            }
-        }
-        strip_new_fields(&mut v);
-        let t: ReqSketch<u64> = from_value(v).unwrap();
-        assert_eq!(t.len(), s.len());
-        assert_eq!(t.compaction_schedule(), CompactionSchedule::Standard);
-        for y in (0..100_003u64).step_by(9_973) {
-            assert_eq!(t.rank(&y), s.rank(&y), "rank mismatch at {y}");
-        }
-    }
-
-    #[test]
     fn adaptive_sketch_roundtrips_through_value_tree() {
         let mut s = ReqSketch::<u64>::builder()
             .k(8)
@@ -466,18 +392,31 @@ mod tests {
 
     #[test]
     fn corrupt_geometry_is_rejected() {
-        let s = sample();
-        let v = to_value(&s).unwrap();
-        // Sabotage the `k` field.
-        let serde::Value::Struct { name, mut fields } = v else {
-            panic!("sketch must serialize as a struct");
-        };
-        for (key, value) in &mut fields {
-            if *key == "k" {
-                *value = serde::Value::U64(3); // odd and < 4: invalid
-            }
+        fn field<'a>(v: &'a mut serde::Value, key: &str) -> &'a mut serde::Value {
+            let serde::Value::Struct { fields, .. } = v else {
+                panic!("expected a struct");
+            };
+            &mut fields.iter_mut().find(|(k, _)| *k == key).expect(key).1
         }
-        let bad = serde::Value::Struct { name, fields };
-        assert!(from_value::<ReqSketch<u64>>(bad).is_err());
+        let good = to_value(&sample()).unwrap();
+        // Header k odd and below 4, or far above the policy's k = 12 (2^24
+        // would reserve gigabytes for the levels).
+        for k in [3u64, 1 << 24] {
+            let mut bad = good.clone();
+            *field(&mut bad, "k") = serde::Value::U64(k);
+            assert!(from_value::<ReqSketch<u64>>(bad).is_err(), "k={k} accepted");
+        }
+        // Level 0 with zero sections, or 2^26 (again gigabytes).
+        for sections in [0u64, 1 << 26] {
+            let mut bad = good.clone();
+            let serde::Value::Seq(levels) = field(&mut bad, "levels") else {
+                panic!("levels must be a sequence");
+            };
+            *field(&mut levels[0], "num_sections") = serde::Value::U64(sections);
+            assert!(
+                from_value::<ReqSketch<u64>>(bad).is_err(),
+                "{sections} sections accepted"
+            );
+        }
     }
 }

@@ -93,7 +93,7 @@ pub struct ReqSketch<T> {
     pub(crate) cache: ViewCache<T>,
 }
 
-impl<T: Ord + Clone> ReqSketch<T> {
+impl<T: Ord + Copy> ReqSketch<T> {
     /// Start configuring a sketch. See [`crate::ReqSketchBuilder`].
     pub fn builder() -> crate::builder::ReqSketchBuilder {
         crate::builder::ReqSketchBuilder::new()
@@ -578,11 +578,11 @@ impl<T: Ord + Clone> ReqSketch<T> {
     pub(crate) fn track_min_max(&mut self, item: &T) {
         match &self.min_item {
             Some(m) if item >= m => {}
-            _ => self.min_item = Some(item.clone()),
+            _ => self.min_item = Some(*item),
         }
         match &self.max_item {
             Some(m) if item <= m => {}
-            _ => self.max_item = Some(item.clone()),
+            _ => self.max_item = Some(*item),
         }
     }
 
@@ -596,7 +596,7 @@ impl<T: Ord + Clone> ReqSketch<T> {
     }
 }
 
-impl<T: Ord + Clone> QuantileSketch<T> for ReqSketch<T> {
+impl<T: Ord + Copy> QuantileSketch<T> for ReqSketch<T> {
     fn update(&mut self, item: T) {
         self.mark_dirty();
         self.track_min_max(&item);
@@ -640,7 +640,7 @@ impl<T: Ord + Clone> QuantileSketch<T> for ReqSketch<T> {
                 hi = x;
             }
         }
-        let (lo, hi) = (lo.clone(), hi.clone());
+        let (lo, hi) = (*lo, *hi);
         self.track_min_max(&lo);
         self.track_min_max(&hi);
 
@@ -699,10 +699,10 @@ impl<T: Ord + Clone> QuantileSketch<T> for ReqSketch<T> {
     /// set in the unprotected orientation).
     fn quantile(&self, q: f64) -> Option<T> {
         if q.is_nan() || q <= 0.0 {
-            return self.min_item.clone();
+            return self.min_item;
         }
         if q >= 1.0 {
-            return self.max_item.clone();
+            return self.max_item;
         }
         self.cached_view().quantile(q).cloned()
     }
@@ -720,7 +720,7 @@ impl<T: Ord + Clone> QuantileSketch<T> for ReqSketch<T> {
     }
 }
 
-impl<T: Ord + Clone> MergeableSketch for ReqSketch<T> {
+impl<T: Ord + Copy> MergeableSketch for ReqSketch<T> {
     /// Merge per Algorithm 3.
     ///
     /// # Panics
@@ -743,7 +743,7 @@ impl<T> SpaceUsage for ReqSketch<T> {
     }
 }
 
-impl<T: Ord + Clone> Default for ReqSketch<T> {
+impl<T: Ord + Copy> Default for ReqSketch<T> {
     /// DataSketches-style default: `k = 12`, high-rank accuracy, seeded from
     /// the global RNG.
     fn default() -> Self {

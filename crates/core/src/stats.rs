@@ -86,7 +86,7 @@ pub struct SketchStats {
 }
 
 impl SketchStats {
-    pub(crate) fn collect<T: Ord + Clone>(sketch: &ReqSketch<T>) -> Self {
+    pub(crate) fn collect<T: Ord + Copy>(sketch: &ReqSketch<T>) -> Self {
         let levels: Vec<LevelStats> = sketch
             .levels
             .iter()
